@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from importlib import resources
 from typing import Callable, List, Optional, Sequence
 
@@ -111,6 +112,13 @@ def _grid_from(cfg: dict) -> Grid:
     raise ConfigError(f"config field 'grid' must be 'dyadic' or 'uniform', got {kind!r}")
 
 
+def _n_paths(cfg: dict, default: int) -> int:
+    n_paths = _field(cfg, "n_paths", int, required=False, default=default)
+    if n_paths < 1:
+        raise ConfigError(f"config field 'n_paths' must be >= 1, got {n_paths}")
+    return n_paths
+
+
 def _seed_spec(cfg: dict) -> RngSpec:
     return RngSpec(_field(cfg, "master_seed", int), 0)
 
@@ -129,7 +137,7 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> List:
 def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     process = _field(cfg, "process", str, required=False, default="ggbm")
     grid = _grid_from(cfg)
-    n_paths = _field(cfg, "n_paths", int, required=False, default=1)
+    n_paths = _n_paths(cfg, 1)
     base = _seed_spec(cfg)
 
     def one(i: int) -> SamplePath:
@@ -193,7 +201,7 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     beta = _field(cfg, "beta", float)
     params = GreyParams(alpha, beta)
     level = _field(cfg, "level", int)
-    n_paths = _field(cfg, "n_paths", int, required=False, default=1)
+    n_paths = _n_paths(cfg, 1)
     p_values = [float(p) for p in _field(cfg, "p_values", list)]
     lo, hi = _field(cfg, "levels", list, required=False, default=[max(1, level - 8), level])
     levels = list(range(int(lo), int(hi) + 1))
@@ -250,7 +258,7 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
     beta = _field(cfg, "beta", float)
     params = GreyParams(alpha, beta)
     level = _field(cfg, "level", int)
-    n_paths = _field(cfg, "n_paths", int, required=False, default=100)
+    n_paths = _n_paths(cfg, 100)
     p = _field(cfg, "p", float, required=False, default=1.0)
     lo, hi = _field(cfg, "fit_levels", list, required=False, default=[8, level])
     region_name = _field(cfg, "beta_region", str, required=False, default="auto")
@@ -328,7 +336,7 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
         raise ConfigError("need at least two candidates")
     candidates = [Candidate(GreyParams(float(a), float(b))) for a, b in cand_list]
     level = _field(cfg, "level", int)
-    n_paths = _field(cfg, "n_paths", int, required=False, default=100)
+    n_paths = _n_paths(cfg, 100)
     threshold = _field(cfg, "threshold", float, required=False, default=0.5)
     record_decisions = bool(cfg.get("record_decisions", False))
     base = _seed_spec(cfg)
@@ -405,7 +413,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     param_sets = _field(cfg, "param_sets", list, required=False)
     if param_sets is None:
         param_sets = [[_field(cfg, "alpha", float), _field(cfg, "beta", float)]]
-    n_paths = _field(cfg, "n_paths", int, required=False, default=20000)
+    n_paths = _n_paths(cfg, 20000)
     thetas = tuple(float(x) for x in _field(cfg, "thetas", list, required=False, default=[0.0, 0.5, 1.0, 2.0]))
     s = _field(cfg, "s", float, required=False, default=0.5)
     t = _field(cfg, "t", float, required=False, default=1.0)
@@ -414,17 +422,20 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     lags = [int(l) for l in _field(cfg, "lags", list, required=False, default=[1, 2, 4, 8, 16, 32, 64])]
     base = _seed_spec(cfg)
 
-    checks: List[dict] = [special_identity_report()]
+    # Each check draws from its own stream offset, so the thread count
+    # cannot change the results.
+    tasks: List[Callable] = [special_identity_report]
     stream = 1_000_000
     for a, b in param_sets:
         params = GreyParams(float(a), float(b))
-        cf = check_increment_cf(params, CfCheckSpec(thetas, s, t, n_paths), base.stream(stream))
-        stream += n_paths
-        mom = check_even_moments(params, moment_t, orders, n_paths, base.stream(stream))
-        stream += n_paths
-        mix = check_mixing_decay(params, lags, n_paths, base.stream(stream))
-        stream += n_paths
-        checks.extend([cf.to_dict(), mom.to_dict(), mix.to_dict()])
+        tasks += [
+            partial(check_increment_cf, params, CfCheckSpec(thetas, s, t, n_paths), base.stream(stream)),
+            partial(check_even_moments, params, moment_t, orders, n_paths, base.stream(stream + n_paths)),
+            partial(check_mixing_decay, params, lags, n_paths, base.stream(stream + 2 * n_paths)),
+        ]
+        stream += 3 * n_paths
+    identities, *reports = _pmap(lambda task: task(), tasks, threads)
+    checks = [identities] + [r.to_dict() for r in reports]
 
     results = {
         "checks": checks,
@@ -534,8 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         threads = _resolve_threads(args.threads)
 
         report = run_config(args.command, cfg, threads=threads)
-        json.dump(report, sys.stdout, sort_keys=True, indent=2, default=str)
-        sys.stdout.write("\n")
+        sys.stdout.write(dump_report(report) + "\n")
         return EXIT_OK
     except (ConfigError,) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

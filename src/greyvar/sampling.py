@@ -296,34 +296,41 @@ def _stacked_normals(rng: RngSpec, n_paths: int, n_each: int) -> np.ndarray:
     return out
 
 
-def _kanter_stable(beta: float, gen: np.random.Generator, size) -> np.ndarray:
-    """One-sided beta-stable draws with Laplace transform exp(-s^beta)."""
-    u = gen.uniform(0.0, math.pi, size)
-    w = gen.standard_exponential(size)
-    tiny = np.finfo(float).tiny
+def _mwright_log_kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """M-Wright draws Y = S^-beta from Kanter's U (uniform on (0, pi)) and
+    W (unit exponential), 0 < beta < 1.
+
+    Kanter's one-sided stable S = (a(U)/W)^((1-beta)/beta) is never formed:
+    in log space Y = (W / a(U))^(1-beta) is finite and positive over all of
+    (0, 1), where the power form under- and overflows as beta nears 1 or 0.
+    """
     u = np.clip(u, 1e-300, math.pi * (1.0 - 1e-16))
-    w = np.maximum(w, tiny)
-    ratio = (1.0 - beta) / beta
-    a = (
-        np.sin((1.0 - beta) * u)
-        * np.sin(beta * u) ** (beta / (1.0 - beta))
-        / np.sin(u) ** (1.0 / (1.0 - beta))
+    w = np.maximum(w, np.finfo(float).tiny)
+    b1 = 1.0 - beta
+    log_y = (
+        b1 * np.log(w)
+        - b1 * np.log(np.sin(b1 * u))
+        - beta * np.log(np.sin(beta * u))
+        + np.log(np.sin(u))
     )
-    return (a / w) ** ratio
+    return np.exp(log_y)
+
+
+def _kanter_draws(beta: float, gen: np.random.Generator, size: int) -> np.ndarray:
+    return _mwright_log_kanter(beta, gen.uniform(0.0, math.pi, size), gen.standard_exponential(size))
 
 
 def sample_one_sided_stable(beta: float, rng: RngSpec, size: Optional[int] = None):
     """Strictly positive stable draw(s) with E[exp(-s S)] = exp(-s^beta).
 
     Kanter's exact representation: S = (a(U)/W)^((1-beta)/beta) with U
-    uniform on (0, pi) and W unit exponential.
+    uniform on (0, pi) and W unit exponential, computed as Y^(-1/beta) from
+    the M-Wright draw Y = S^-beta.
     """
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    gen = rng.generator()
-    if size is None:
-        return float(_kanter_stable(beta, gen, None))
-    return _kanter_stable(beta, gen, size)
+    draws = _kanter_draws(beta, rng.generator(), 1 if size is None else size) ** (-1.0 / beta)
+    return float(draws[0]) if size is None else draws
 
 
 def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
@@ -333,18 +340,8 @@ def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
     if beta == 1.0:
         return 1.0 if size is None else np.ones(size)
-    gen = rng.generator()
-    if size is None:
-        return float(_kanter_stable(beta, gen, None) ** -beta)
-    return _kanter_stable(beta, gen, size) ** -beta
-
-
-def _mwright_from_generator(beta: float, gen: np.random.Generator) -> float:
-    # beta = 1 consumes no randomness, so the ggBm path then equals the
-    # plain fBm path driven by the same substream.
-    if beta == 1.0:
-        return 1.0
-    return float(_kanter_stable(beta, gen, None) ** -beta)
+    draws = _kanter_draws(beta, rng.generator(), 1 if size is None else size)
+    return float(draws[0]) if size is None else draws
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -361,7 +358,9 @@ def sample_ggbm(params: GreyParams, grid: Grid, rng: RngSpec) -> SamplePath:
     block, from the same substream.
     """
     gen = rng.generator()
-    y = _mwright_from_generator(params.beta, gen)
+    # beta = 1 consumes no randomness, so the ggBm path then equals the
+    # plain fBm path driven by the same substream.
+    y = 1.0 if params.beta == 1.0 else float(_kanter_draws(params.beta, gen, 1)[0])
     hurst = params.hurst
     if isinstance(grid, DyadicGrid):
         values = _fbm_circulant_values(hurst, grid.level, gen, 1)[:, 0]
@@ -397,15 +396,19 @@ def sample_ggbm_batch(
 
     n_points = grid.n_increments + 1
     out = np.empty((n_points, n_paths))
-    ys = np.empty(n_paths)
+    u = np.empty(n_paths)
+    w = np.empty(n_paths)
     if use_circulant:
         z = np.empty((2 * m, n_paths))
     else:
         z = np.empty((m, n_paths))
     for i in range(n_paths):
         gen = rng.stream(i).generator()
-        ys[i] = _mwright_from_generator(params.beta, gen)
+        if params.beta != 1.0:
+            u[i] = gen.uniform(0.0, math.pi)
+            w[i] = gen.standard_exponential()
         z[:, i] = gen.standard_normal(z.shape[0])
+    ys = np.ones(n_paths) if params.beta == 1.0 else _mwright_log_kanter(params.beta, u, w)
     if use_circulant:
         v = np.empty((2 * m, n_paths), dtype=complex)
         v[0] = np.sqrt(eig[0]) * z[0]

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .params import GreyParams
 from .sampling import DyadicGrid, Grid, RngSpec, SamplePath, UniformGrid
 from .variation import VariationRecord
@@ -185,5 +185,14 @@ def _json_default(obj):
 
 
 def dump_report(results: dict) -> str:
-    """Canonical JSON for a results section (byte-stable under re-runs)."""
-    return json.dumps(results, sort_keys=True, indent=2, default=_json_default)
+    """Canonical JSON for a results section (byte-stable under re-runs).
+
+    A NaN or infinity anywhere in it raises NumericalError rather than
+    reaching the report.
+    """
+    try:
+        return json.dumps(
+            results, sort_keys=True, indent=2, default=_json_default, allow_nan=False
+        )
+    except ValueError as exc:
+        raise NumericalError(f"report holds a non-finite value ({exc})") from None

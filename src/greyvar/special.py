@@ -170,21 +170,90 @@ def mittag_leffler(beta: float, s: float, config: EvalConfig = DEFAULT_EVAL_CONF
     return min(max(value, 0.0), 1.0)
 
 
-def _sinpi(a: float) -> float:
-    """sin(pi * a) with exact argument reduction (exact zeros at integers)."""
-    r = a - round(a)
-    if r == 0.0:
-        return 0.0
-    s = math.sin(math.pi * r)
-    return s if round(a) % 2 == 0 else -s
+# Taus per block of the vectorised M-Wright series: a block holds
+# _PDF_BLOCK * max_terms doubles per temporary, so memory stays bounded.
+_PDF_BLOCK = 128
 
 
-def mwright_pdf(beta: float, tau: float, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> float:
+@lru_cache(maxsize=8)
+def _mwright_coeffs(beta: float, max_terms: int):
+    """Beta-only parts of the M-Wright series, one entry per term n.
+
+    Returns (n, log n!, envelope offset log Gamma(beta(n+1)) - log pi,
+    reciprocal-Gamma log-magnitude, sign of the signed term).  The
+    reciprocal Gamma at negative arguments comes from the reflection
+    formula in log space; where 1 - beta(n+1) is a nonpositive integer it
+    vanishes, and its log-magnitude is -inf.
+    """
+    n = np.arange(max_terms, dtype=float)
+    a = 1.0 - beta * (n + 1.0)
+    # sin(pi a) with exact argument reduction (exact zeros at integers).
+    r = a - np.round(a)
+    sin_a = np.where(np.round(a) % 2.0 == 0.0, 1.0, -1.0) * np.sin(np.pi * r)
+    sin_a[r == 0.0] = 0.0
+    log_pi = math.log(math.pi)
+    with np.errstate(divide="ignore"):
+        rg_log = np.where(a > 0.0, -gammaln(a), np.log(np.abs(sin_a)) + gammaln(1.0 - a) - log_pi)
+    sign = (-1.0) ** n * np.where(a > 0.0, 1.0, np.sign(sin_a))
+    coeffs = (n, gammaln(n + 1.0), gammaln(beta * (n + 1.0)) - log_pi, rg_log, sign)
+    for c in coeffs:
+        c.flags.writeable = False
+    return coeffs
+
+
+def _mwright_block(beta: float, taus: np.ndarray, config: EvalConfig) -> np.ndarray:
+    """The M-Wright series on a block of positive taus, one row of terms per tau."""
+    n, log_fact, env_off, rg_log, sign = _mwright_coeffs(beta, config.max_terms)
+    base = np.log(taus)[:, None] * n - log_fact
+    env_log = base + env_off
+    with np.errstate(over="ignore"):
+        env = np.exp(env_log)
+    # Each row stops at its first term n > 0 whose envelope is below the
+    # tolerance and not rising.
+    stop = np.zeros(env.shape, dtype=bool)
+    stop[:, 1:] = (env[:, 1:] < config.series_tol) & (env[:, 1:] <= env[:, :-1])
+    converged = stop.any(axis=1)
+    last = np.where(converged, stop.argmax(axis=1), config.max_terms - 1)
+    over = env_log > 700.0
+    overflow = over.any(axis=1) & (over.argmax(axis=1) <= last)
+    failed = overflow | ~converged
+    if failed.any():
+        i = int(np.argmax(failed))
+        reason = (
+            "terms overflow double precision"
+            if overflow[i]
+            else f"did not converge within {config.max_terms} terms"
+        )
+        raise AccuracyError(f"M-Wright series {reason} (beta={beta}, tau={taus[i]})")
+    cols = int(last.max()) + 1
+    with np.errstate(over="ignore"):
+        mag = np.exp(base[:, :cols] + rg_log[:cols])
+    mag[np.arange(cols)[None, :] > last[:, None]] = 0.0
+    # cumsum adds the terms in order; np.sum would add them pairwise.
+    total = np.cumsum(mag * sign[:cols], axis=1)[:, -1]
+    # Below the cancellation noise floor (measured at ~100 eps relative per
+    # term, accumulated over the alternating sum) the result carries no
+    # significance; the true density is nonnegative and superexponentially
+    # small there, so report exactly zero.
+    total[np.abs(total) <= 1e-12 * mag.max(axis=1)] = 0.0
+    if np.any(total < 0.0):
+        i = int(np.argmax(total < 0.0))
+        raise AccuracyError(
+            f"M-Wright series lost all significance (beta={beta}, tau={taus[i]}, "
+            f"value={total[i]})"
+        )
+    return total
+
+
+def mwright_pdf(beta: float, tau, config: EvalConfig = DEFAULT_EVAL_CONFIG):
     """M-Wright density M_beta(tau) on tau >= 0 for beta in (0, 1).
 
-    Summed as sum_n (-tau)^n / (n! Gamma(1 - beta(n+1))) with the
-    reciprocal Gamma at negative arguments obtained from the reflection
-    formula in log space.  Convergence is judged on the envelope
+    tau may be a scalar, which gives a float, or an array, which gives an
+    array of the same shape.  Summed as
+    sum_n (-tau)^n / (n! Gamma(1 - beta(n+1))) with the reciprocal Gamma at
+    negative arguments obtained from the reflection formula in log space;
+    the beta-only parts of every term are computed once per beta.
+    Convergence is judged per tau on the envelope
     tau^n Gamma(beta(n+1)) / (pi n!), which bounds every term and is not
     deflated by the reflection zeros.  beta = 1 is the point mass at
     tau = 1 and is rejected; samplers special-case it.
@@ -195,58 +264,19 @@ def mwright_pdf(beta: float, tau: float, config: EvalConfig = DEFAULT_EVAL_CONFI
         )
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    if not math.isfinite(tau) or tau < 0.0:
-        raise InputError(f"tau must be finite and nonnegative, got {tau}")
-    if tau == 0.0:
-        return 1.0 / gamma(1.0 - beta)
-
-    log_tau = math.log(tau)
-    log_pi = math.log(math.pi)
-    total = 0.0
-    max_mag = 0.0
-    prev_env = math.inf
-    converged = False
-    for n in range(config.max_terms):
-        a = 1.0 - beta * (n + 1)
-        base = n * log_tau - gammaln(n + 1.0)
-        env_log = base + gammaln(beta * (n + 1)) - log_pi
-        if env_log > 700.0:
-            raise AccuracyError(
-                f"M-Wright series terms overflow double precision (beta={beta}, tau={tau})"
-            )
-        env = math.exp(env_log)
-        sin_a = _sinpi(a)
-        if sin_a != 0.0:
-            if a > 0.0:
-                rg_log = -gammaln(a)
-                rg_sign = 1.0
-            else:
-                rg_log = math.log(abs(sin_a)) + gammaln(1.0 - a) - log_pi
-                rg_sign = math.copysign(1.0, sin_a)
-            mag = math.exp(base + rg_log)
-            max_mag = max(max_mag, mag)
-            total += rg_sign * mag if n % 2 == 0 else -rg_sign * mag
-        if env < config.series_tol and env <= prev_env and n > 0:
-            converged = True
-            break
-        prev_env = env
-    if not converged:
-        raise AccuracyError(
-            f"M-Wright series did not converge within {config.max_terms} terms "
-            f"(beta={beta}, tau={tau})"
-        )
-    # Below the cancellation noise floor (measured at ~100 eps relative per
-    # term, accumulated over the alternating sum) the result carries no
-    # significance; the true density is nonnegative and superexponentially
-    # small there, so report exactly zero.
-    noise = 1e-12 * max_mag
-    if abs(total) <= noise:
-        return 0.0
-    if total < 0.0:
-        raise AccuracyError(
-            f"M-Wright series lost all significance (beta={beta}, tau={tau}, value={total})"
-        )
-    return total
+    taus = np.asarray(tau, dtype=float)
+    bad = ~np.isfinite(taus) | (taus < 0.0)
+    if bad.any():
+        raise InputError(f"tau must be finite and nonnegative, got {taus[bad][0]}")
+    flat = taus.ravel()
+    out = np.full(flat.shape, 1.0 / gamma(1.0 - beta))
+    positive = np.flatnonzero(flat > 0.0)
+    for start in range(0, len(positive), _PDF_BLOCK):
+        idx = positive[start:start + _PDF_BLOCK]
+        out[idx] = _mwright_block(beta, flat[idx], config)
+    if taus.ndim == 0:
+        return float(out[0])
+    return out.reshape(taus.shape)
 
 
 def mwright_moment(beta: float, delta: float) -> float:

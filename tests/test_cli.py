@@ -17,6 +17,7 @@ from greyvar.cli import (
     main,
     run_config,
 )
+from greyvar.errors import NumericalError
 from greyvar.params import GreyParams
 from greyvar.sampling import DyadicGrid, UniformGrid, sample_ggbm
 from greyvar.serialize import (
@@ -249,6 +250,42 @@ class TestValidateCommand:
         kinds = [c["check"] for c in res["checks"]]
         assert kinds == ["special-identities", "increment-cf", "moments", "mixing-decay"]
         assert res["all_passed"]
+
+
+class TestValidateThreads:
+    def test_threads_do_not_change_results(self):
+        cfg = {
+            "param_sets": [[1.0, 1.0], [1.2, 0.6]],
+            "n_paths": 10_000,
+            "thetas": [1.0],
+            "moment_orders": [2],
+            "lags": [1, 8],
+            "master_seed": 21,
+        }
+        a = run_config("validate", dict(cfg), threads=1)
+        b = run_config("validate", dict(cfg), threads=2)
+        assert dump_report(a["results"]) == dump_report(b["results"])
+        assert len(a["results"]["checks"]) == 7
+
+
+class TestPathCount:
+    @pytest.mark.parametrize(
+        ("command", "cfg"),
+        [
+            ("estimate", {"alpha": 1.0, "beta": 1.0, "level": 10, "fit_levels": [6, 10]}),
+            ("variation", {"alpha": 1.0, "beta": 1.0, "level": 8, "p_values": [2.0]}),
+            ("discriminate", {"candidates": [[1.0, 1.0], [1.6, 1.0]], "level": 8}),
+        ],
+    )
+    def test_zero_paths_is_usage_error(self, command, cfg, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(cfg, n_paths=0, master_seed=3)))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        assert "n_paths" in capsys.readouterr().err
+
+    def test_report_rejects_nan(self):
+        with pytest.raises(NumericalError):
+            dump_report({"alpha_mean": float("nan")})
 
 
 class TestShell:

@@ -156,6 +156,27 @@ class TestMWrightSampler:
             assert abs(x.mean() - mwright_moment(beta, delta)) <= 4.0 * se
 
 
+class TestSubordinatorRange:
+    """The subordinator stays finite over all of (0, 1], including the ends
+    where Kanter's power form under- and overflows."""
+
+    @pytest.mark.parametrize("beta", [0.001, 0.5, 0.99, 0.9999])
+    def test_draws_finite_positive_with_moments(self, beta, rng):
+        draws = sample_mwright(beta, rng.stream(500 + int(beta * 1000)), 200_000)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+        for delta in [1.0, 2.0]:
+            x = draws ** delta
+            se = x.std() / math.sqrt(len(x))
+            assert abs(x.mean() - mwright_moment(beta, delta)) <= 4.0 * se
+
+    @pytest.mark.parametrize("beta", [0.001, 0.9999])
+    def test_ggbm_paths_never_rejected(self, beta, rng):
+        params = GreyParams(1.0, beta)
+        for i in range(1000):
+            path = sample_ggbm(params, DyadicGrid(4), rng.stream(i))
+            assert np.all(np.isfinite(path.values))
+
+
 class TestGgbm:
     def test_beta_one_reduces_to_fbm_exactly(self, rng):
         g = sample_ggbm(GreyParams(1.4, 1.0), DyadicGrid(8), rng)

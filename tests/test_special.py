@@ -135,6 +135,33 @@ class TestMWrightPdf:
         # far beyond the double-precision tau range for this beta
         with pytest.raises(AccuracyError):
             mwright_pdf(0.5, 80.0)
+        with pytest.raises(AccuracyError):
+            mwright_pdf(0.5, np.array([0.0, 1.0, 80.0]))
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    def test_array_matches_references(self, beta):
+        ref = {t: v for (b, t), v in MWRIGHT_REFERENCE.items() if b == beta}
+        if beta == 0.5:
+            ref = {t: math.exp(-t * t / 4.0) / math.sqrt(math.pi) for t in np.linspace(0.0, 6.5, 27)}
+        taus = np.array(sorted(ref))
+        grid = np.concatenate([taus, np.linspace(0.0, mwright_cutoff(beta), 200)])
+        got = mwright_pdf(beta, grid)
+        assert got.shape == grid.shape
+        assert np.all(np.abs(got[: len(taus)] - [ref[t] for t in taus]) <= 1e-10)
+        # the array and the scalar call evaluate the same series per tau
+        single = np.array([mwright_pdf(beta, float(t)) for t in grid])
+        assert np.all(np.abs(got - single) <= 1e-14)
+
+    def test_output_types(self):
+        for tau in [0.0, 1.0, np.float64(2.0), 3]:
+            assert type(mwright_pdf(0.5, tau)) is float
+        assert mwright_pdf(0.5, np.ones((2, 3))).shape == (2, 3)
+
+    def test_array_input_errors(self):
+        with pytest.raises(InputError):
+            mwright_pdf(0.5, np.array([0.5, -0.1]))
+        with pytest.raises(InputError):
+            mwright_pdf(0.5, np.array([0.5, math.nan]))
 
 
 class TestLaplaceAndMomentIdentities:

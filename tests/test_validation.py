@@ -12,6 +12,7 @@ from greyvar.validation import (
     check_increment_cf,
     check_mixing_decay,
     even_moment_formula,
+    gauss_legendre_integral,
     special_identity_report,
 )
 
@@ -127,6 +128,21 @@ class TestMixingDecay:
             GreyParams(1.0, 1.0), [1, 64], 20000, rng.stream(70), probe=probe
         )
         assert report.passed
+
+
+class TestGaussLegendre:
+    def test_one_call_on_all_nodes(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return np.stack([np.ones_like(x), x, x ** 3], axis=1)
+
+        vals = gauss_legendre_integral(f, 0.0, 2.0, panels=4, order=16)
+        assert calls == [(64,)]
+        assert vals == pytest.approx([2.0, 2.0, 4.0], rel=1e-14)
+        assert type(gauss_legendre_integral(np.cos, 0.0, 1.0)) is float
+        assert gauss_legendre_integral(np.cos, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-14)
 
 
 class TestSpecialIdentityReport:
