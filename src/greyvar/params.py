@@ -37,4 +37,6 @@ class GreyParams:
     @classmethod
     def fbm(cls, hurst: float) -> "GreyParams":
         """Parameters of the fBm special case with the given Hurst index."""
+        if not (0.0 < hurst < 1.0):
+            raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
         return cls(alpha=2.0 * hurst, beta=1.0)

@@ -5,13 +5,15 @@ a one-sided stable sampler, the derived M-Wright subordinator sampler, and
 their composition into grey Brownian paths (one subordinator draw per
 path, multiplying the whole fBm trajectory).
 
-All samplers are driven by an explicit RngSpec and are bit-for-bit
-reproducible; batch helpers use one substream per path so that a batch
-column equals the corresponding single-path call.
+Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
+batch core draws column i from substream i; a single path is a batch of
+one, and a batch column equals the single-path call bit for bit on
+power-of-two grids, to rounding (< 1e-13) on Cholesky grids.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -138,23 +140,19 @@ class SamplePath:
 
 def fbm_covariance(hurst: float, s: float, t: float) -> float:
     """Covariance (s^2H + t^2H - |t-s|^2H) / 2 of standard fBm."""
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+    hurst = GreyParams.fbm(hurst).hurst
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ParameterError("times must lie in [0, 1]")
     h2 = 2.0 * hurst
     return 0.5 * (s ** h2 + t ** h2 - abs(t - s) ** h2)
 
 
-def _covariance_matrix(hurst: float, times: np.ndarray) -> np.ndarray:
+def _cholesky_factor(hurst: float, grid: Grid) -> np.ndarray:
+    times = grid.times()[1:]
     h2 = 2.0 * hurst
     t = times[:, None]
     s = times[None, :]
-    return 0.5 * (t ** h2 + s ** h2 - np.abs(t - s) ** h2)
-
-
-def _cholesky_factor(hurst: float, times: np.ndarray) -> np.ndarray:
-    cov = _covariance_matrix(hurst, times)
+    cov = 0.5 * (t ** h2 + s ** h2 - np.abs(t - s) ** h2)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -167,133 +165,94 @@ def _cholesky_factor(hurst: float, times: np.ndarray) -> np.ndarray:
             ) from exc
 
 
-def _check_cholesky_capacity(grid: Grid) -> None:
-    if grid.n_increments + 1 > CHOLESKY_MAX_POINTS:
-        raise CapacityError(
-            f"Cholesky sampler capped at {CHOLESKY_MAX_POINTS} grid points, "
-            f"requested {grid.n_increments + 1}"
+@functools.lru_cache(maxsize=8)
+def _circulant_sqrt_spectrum(hurst: float, m: int) -> np.ndarray:
+    """sqrt of the first m + 1 eigenvalues of the 2m-point circulant embedding of
+    unit-spacing fGn, entries 1..m-1 halved first; read-only, as threads share it."""
+    h2 = 2.0 * hurst
+    k = np.arange(m + 1, dtype=float)
+    gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
+    c = np.concatenate([gamma, gamma[m - 1:0:-1]])
+    eig = np.fft.fft(c).real
+    if eig.min() < -CIRCULANT_EIG_TOL:
+        raise NumericalError(
+            f"circulant embedding produced eigenvalue {eig.min():.3e} below tolerance "
+            f"(H={hurst}, level m={m})"
         )
+    eig = np.clip(eig[: m + 1], 0.0, None)
+    eig[1:m] /= 2.0
+    root = np.sqrt(eig)
+    root.flags.writeable = False
+    return root
+
+
+def _fbm_batch(
+    hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int, cholesky: bool = False
+) -> np.ndarray:
+    """(n_points, n_paths) batch of sqrt(Y) times fBm, column i from rng.stream(i),
+    as in sample_ggbm; cholesky forces Cholesky on power-of-two grids too."""
+    m = grid.n_increments
+    circulant = not cholesky and m & (m - 1) == 0
+    if circulant and m > 2 ** CIRCULANT_MAX_LEVEL:
+        raise CapacityError(f"grid size {m} exceeds the circulant cap 2^{CIRCULANT_MAX_LEVEL}")
+    if not circulant and m + 1 > CHOLESKY_MAX_POINTS:
+        raise CapacityError(f"{m + 1} grid points exceed the Cholesky cap {CHOLESKY_MAX_POINTS}")
+    # Build the plan first: its temporaries are freed before the normals exist.
+    plan = _circulant_sqrt_spectrum(hurst, m) if circulant else _cholesky_factor(hurst, grid)
+
+    u, w = np.empty((2, n_paths))
+    z = np.empty((2 * m if circulant else m, n_paths))
+    for i in range(n_paths):
+        gen = rng.stream(i).generator()
+        if beta != 1.0:
+            u[i] = gen.uniform(0.0, math.pi)
+            w[i] = gen.standard_exponential()
+        z[:, i] = gen.standard_normal(len(z))
+
+    out = np.zeros((m + 1, n_paths))
+    if circulant:
+        v = np.empty((2 * m, n_paths), dtype=complex)
+        v[[0, m]] = plan[[0, m], None] * z[:2]
+        v[1:m] = plan[1:m, None] * (z[2:m + 1] + 1j * z[m + 1:])
+        v[m + 1:] = np.conj(v[1:m][::-1])
+        fgn = np.fft.fft(v, axis=0)[:m].real / math.sqrt(2 * m) * (1.0 / m) ** hurst
+        np.cumsum(fgn, axis=0, out=out[1:])
+    else:
+        out[1:] = plan @ z
+    # beta = 1 consumes no randomness, so the ggBm path then equals the
+    # plain fBm path driven by the same substream.
+    if beta != 1.0:
+        out *= np.sqrt(_mwright_log_kanter(beta, u, w))
+    return out
+
+
+def _path(params: GreyParams, grid: Grid, rng: RngSpec, cholesky: bool = False) -> SamplePath:
+    values = _fbm_batch(params.hurst, params.beta, grid, rng, 1, cholesky)[:, 0]
+    return SamplePath(grid=grid, values=values, params=params, seed=rng)
 
 
 def sample_fbm_cholesky(hurst: float, grid: Grid, rng: RngSpec) -> SamplePath:
     """Exact fBm draw on an arbitrary grid by dense Cholesky factorization."""
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    _check_cholesky_capacity(grid)
-    values = _fbm_cholesky_values(hurst, grid, rng.generator(), 1)[:, 0]
-    return SamplePath(grid=grid, values=values, params=GreyParams.fbm(hurst), seed=rng)
-
-
-def _fbm_cholesky_values(
-    hurst: float, grid: Grid, gen: np.random.Generator, n_paths: int
-) -> np.ndarray:
-    """(n_points, n_paths) matrix of fBm values; columns are paths."""
-    times = grid.times()[1:]
-    factor = _cholesky_factor(hurst, times)
-    z = gen.standard_normal((len(times), n_paths))
-    out = np.zeros((len(times) + 1, n_paths))
-    out[1:] = factor @ z
-    return out
-
-
-def _fgn_circulant_eigenvalues(hurst: float, m: int) -> np.ndarray:
-    h2 = 2.0 * hurst
-    k = np.arange(m + 1, dtype=float)
-    gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
-    c = np.concatenate([gamma[: m], gamma[m:m + 1], gamma[m - 1:0:-1]])
-    eig = np.fft.fft(c).real
-    mn = float(eig.min())
-    if mn < -CIRCULANT_EIG_TOL:
-        raise NumericalError(
-            f"circulant embedding produced eigenvalue {mn:.3e} below tolerance "
-            f"(H={hurst}, level m={m})"
-        )
-    return np.clip(eig, 0.0, None)
-
-
-def _fgn_circulant_unit(
-    eig: np.ndarray, gen: np.random.Generator, n_paths: int
-) -> np.ndarray:
-    """(m, n_paths) unit-spacing fGn draws from precomputed eigenvalues."""
-    m = len(eig) // 2
-    z = gen.standard_normal((2 * m, n_paths))
-    v = np.empty((2 * m, n_paths), dtype=complex)
-    v[0] = np.sqrt(eig[0]) * z[0]
-    v[m] = np.sqrt(eig[m]) * z[1]
-    a = z[2:m + 1]
-    b = z[m + 1:2 * m]
-    v[1:m] = np.sqrt(eig[1:m, None] / 2.0) * (a + 1j * b)
-    v[m + 1:] = np.conj(v[1:m][::-1])
-    return np.fft.fft(v, axis=0)[:m].real / math.sqrt(2 * m)
+    return _path(GreyParams.fbm(hurst), grid, rng, cholesky=True)
 
 
 def sample_fbm_circulant(hurst: float, level: int, rng: RngSpec) -> SamplePath:
     """Exact fBm draw on the dyadic grid of the given level by circulant
     embedding of the stationary increment covariance (O(m log m))."""
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    if level > CIRCULANT_MAX_LEVEL:
-        raise CapacityError(f"circulant sampler capped at level {CIRCULANT_MAX_LEVEL}")
-    grid = DyadicGrid(level)
-    values = _fbm_circulant_values(hurst, level, rng.generator(), 1)[:, 0]
-    return SamplePath(grid=grid, values=values, params=GreyParams.fbm(hurst), seed=rng)
-
-
-def _fbm_circulant_values(
-    hurst: float, level: int, gen: np.random.Generator, n_paths: int
-) -> np.ndarray:
-    m = 2 ** level
-    eig = _fgn_circulant_eigenvalues(hurst, m)
-    fgn = _fgn_circulant_unit(eig, gen, n_paths)
-    fgn *= (1.0 / m) ** hurst
-    out = np.zeros((m + 1, n_paths))
-    np.cumsum(fgn, axis=0, out=out[1:])
-    return out
+    return _path(GreyParams.fbm(hurst), DyadicGrid(level), rng)
 
 
 def sample_fbm_cholesky_batch(
     hurst: float, grid: Grid, rng: RngSpec, n_paths: int
 ) -> np.ndarray:
     """(n_points, n_paths) fBm batch; column i uses substream rng.stream(i)."""
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    _check_cholesky_capacity(grid)
-    times = grid.times()[1:]
-    factor = _cholesky_factor(hurst, times)
-    z = _stacked_normals(rng, n_paths, len(times))
-    out = np.zeros((len(times) + 1, n_paths))
-    out[1:] = factor @ z
-    return out
+    return _fbm_batch(GreyParams.fbm(hurst).hurst, 1.0, grid, rng, n_paths, cholesky=True)
 
 
 def sample_fbm_circulant_batch(
     hurst: float, level: int, rng: RngSpec, n_paths: int
 ) -> np.ndarray:
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    if level > CIRCULANT_MAX_LEVEL:
-        raise CapacityError(f"circulant sampler capped at level {CIRCULANT_MAX_LEVEL}")
-    m = 2 ** level
-    eig = _fgn_circulant_eigenvalues(hurst, m)
-    z = _stacked_normals(rng, n_paths, 2 * m)
-    v = np.empty((2 * m, n_paths), dtype=complex)
-    v[0] = np.sqrt(eig[0]) * z[0]
-    v[m] = np.sqrt(eig[m]) * z[1]
-    v[1:m] = np.sqrt(eig[1:m, None] / 2.0) * (z[2:m + 1] + 1j * z[m + 1:2 * m])
-    v[m + 1:] = np.conj(v[1:m][::-1])
-    fgn = np.fft.fft(v, axis=0)[:m].real / math.sqrt(2 * m)
-    fgn *= (1.0 / m) ** hurst
-    out = np.zeros((m + 1, n_paths))
-    np.cumsum(fgn, axis=0, out=out[1:])
-    return out
-
-
-def _stacked_normals(rng: RngSpec, n_paths: int, n_each: int) -> np.ndarray:
-    """(n_each, n_paths) standard normals, column i from substream i."""
-    out = np.empty((n_each, n_paths))
-    for i in range(n_paths):
-        out[:, i] = rng.stream(i).generator().standard_normal(n_each)
-    return out
+    return _fbm_batch(GreyParams.fbm(hurst).hurst, 1.0, DyadicGrid(level), rng, n_paths)
 
 
 def _mwright_log_kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -325,11 +284,17 @@ def sample_one_sided_stable(beta: float, rng: RngSpec, size: Optional[int] = Non
 
     Kanter's exact representation: S = (a(U)/W)^((1-beta)/beta) with U
     uniform on (0, pi) and W unit exponential, computed as Y^(-1/beta) from
-    the M-Wright draw Y = S^-beta.
+    the M-Wright draw Y = S^-beta.  Raises NumericalError when a draw falls
+    outside the positive normal doubles, as happens for beta near 0.
     """
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    draws = _kanter_draws(beta, rng.generator(), 1 if size is None else size) ** (-1.0 / beta)
+    y = _kanter_draws(beta, rng.generator(), 1 if size is None else size)
+    log2_s = -np.log2(y) / beta
+    outside = np.count_nonzero((log2_s < -1022.0) | (log2_s >= 1024.0))  # not a normal double
+    if outside:
+        raise NumericalError(f"beta={beta}: {outside} of {len(y)} stable draws out of double range")
+    draws = y ** (-1.0 / beta)
     return float(draws[0]) if size is None else draws
 
 
@@ -344,10 +309,6 @@ def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
     return float(draws[0]) if size is None else draws
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def sample_ggbm(params: GreyParams, grid: Grid, rng: RngSpec) -> SamplePath:
     """Grey Brownian path: sqrt(Y) times a standard fBm path with
     H = alpha/2, Y drawn once per path from the M-Wright law.
@@ -357,70 +318,13 @@ def sample_ggbm(params: GreyParams, grid: Grid, rng: RngSpec) -> SamplePath:
     inherit its size cap.  The subordinator is drawn before the Gaussian
     block, from the same substream.
     """
-    gen = rng.generator()
-    # beta = 1 consumes no randomness, so the ggBm path then equals the
-    # plain fBm path driven by the same substream.
-    y = 1.0 if params.beta == 1.0 else float(_kanter_draws(params.beta, gen, 1)[0])
-    hurst = params.hurst
-    if isinstance(grid, DyadicGrid):
-        values = _fbm_circulant_values(hurst, grid.level, gen, 1)[:, 0]
-    elif _is_power_of_two(grid.n):
-        level = grid.n.bit_length() - 1
-        if level > CIRCULANT_MAX_LEVEL:
-            raise CapacityError(f"grid size 2^{level} exceeds circulant cap")
-        values = _fbm_circulant_values(hurst, level, gen, 1)[:, 0]
-    else:
-        _check_cholesky_capacity(grid)
-        values = _fbm_cholesky_values(hurst, grid, gen, 1)[:, 0]
-    return SamplePath(grid=grid, values=math.sqrt(y) * values, params=params, seed=rng)
+    return _path(params, grid, rng)
 
 
 def sample_ggbm_batch(
     params: GreyParams, grid: Grid, rng: RngSpec, n_paths: int
 ) -> np.ndarray:
     """(n_points, n_paths) grey Brownian batch, one substream per path;
-    column i reproduces sample_ggbm(params, grid, rng.stream(i))."""
-    hurst = params.hurst
-    use_circulant = isinstance(grid, DyadicGrid) or _is_power_of_two(grid.n)
-    if use_circulant:
-        level = grid.level if isinstance(grid, DyadicGrid) else grid.n.bit_length() - 1
-        if level > CIRCULANT_MAX_LEVEL:
-            raise CapacityError(f"grid size 2^{level} exceeds circulant cap")
-        m = 2 ** level
-        eig = _fgn_circulant_eigenvalues(hurst, m)
-    else:
-        _check_cholesky_capacity(grid)
-        times = grid.times()[1:]
-        factor = _cholesky_factor(hurst, times)
-        m = len(times)
-
-    n_points = grid.n_increments + 1
-    out = np.empty((n_points, n_paths))
-    u = np.empty(n_paths)
-    w = np.empty(n_paths)
-    if use_circulant:
-        z = np.empty((2 * m, n_paths))
-    else:
-        z = np.empty((m, n_paths))
-    for i in range(n_paths):
-        gen = rng.stream(i).generator()
-        if params.beta != 1.0:
-            u[i] = gen.uniform(0.0, math.pi)
-            w[i] = gen.standard_exponential()
-        z[:, i] = gen.standard_normal(z.shape[0])
-    ys = np.ones(n_paths) if params.beta == 1.0 else _mwright_log_kanter(params.beta, u, w)
-    if use_circulant:
-        v = np.empty((2 * m, n_paths), dtype=complex)
-        v[0] = np.sqrt(eig[0]) * z[0]
-        v[m] = np.sqrt(eig[m]) * z[1]
-        v[1:m] = np.sqrt(eig[1:m, None] / 2.0) * (z[2:m + 1] + 1j * z[m + 1:2 * m])
-        v[m + 1:] = np.conj(v[1:m][::-1])
-        fgn = np.fft.fft(v, axis=0)[:m].real / math.sqrt(2 * m)
-        fgn *= (1.0 / m) ** hurst
-        out[0] = 0.0
-        np.cumsum(fgn, axis=0, out=out[1:])
-    else:
-        out[0] = 0.0
-        out[1:] = factor @ z
-    out *= np.sqrt(ys)[None, :]
-    return out
+    column i reproduces sample_ggbm(params, grid, rng.stream(i)) bit for bit
+    on power-of-two grids, to rounding (< 1e-13) on Cholesky grids."""
+    return _fbm_batch(params.hurst, params.beta, grid, rng, n_paths)

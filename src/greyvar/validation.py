@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,15 @@ def _dyadic_level_for(times: Sequence[float], max_level: int = _MAX_CF_LEVEL) ->
     return level
 
 
+def _batches(
+    params: GreyParams, grid: DyadicGrid, n_paths: int, rng: RngSpec
+) -> Iterator[np.ndarray]:
+    """ggBm batches of at most _CHUNK paths; path d is always drawn from
+    substream rng.stream(d), whatever the chunk size."""
+    for done in range(0, n_paths, _CHUNK):
+        yield sample_ggbm_batch(params, grid, rng.stream(done), min(_CHUNK, n_paths - done))
+
+
 def _z_score(emp: float, ref: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if emp == ref else math.inf
@@ -130,17 +139,13 @@ def check_increment_cf(params: GreyParams, spec: CfCheckSpec, rng: RngSpec) -> C
     n = spec.n_paths
     sums = np.zeros((len(spec.thetas), 2))
     sq_sums = np.zeros((len(spec.thetas), 2))
-    done = 0
-    while done < n:
-        take = min(_CHUNK, n - done)
-        batch = sample_ggbm_batch(params, grid, rng.stream(done), take)
+    for batch in _batches(params, grid, n, rng):
         delta = batch[i_t] - batch[i_s]
         for k, theta in enumerate(spec.thetas):
             re = np.cos(theta * delta)
             im = np.sin(theta * delta)
             sums[k] += (re.sum(), im.sum())
             sq_sums[k] += ((re * re).sum(), (im * im).sum())
-        done += take
 
     gap = abs(spec.t - spec.s)
     rows = []
@@ -228,16 +233,12 @@ def check_even_moments(
     all_orders = sorted({o for order in orders for o in (order - 1, order)})
     sums = np.zeros(len(all_orders))
     sq_sums = np.zeros(len(all_orders))
-    done = 0
-    while done < n_paths:
-        take = min(_CHUNK, n_paths - done)
-        batch = sample_ggbm_batch(params, grid, rng.stream(done), take)
+    for batch in _batches(params, grid, n_paths, rng):
         x = batch[i_t]
         for k, order in enumerate(all_orders):
             powx = x ** order
             sums[k] += powx.sum()
             sq_sums[k] += (powx * powx).sum()
-        done += take
 
     rows = []
     for k, order in enumerate(all_orders):
@@ -389,10 +390,7 @@ def check_mixing_decay(
     sum_fj = np.zeros(k)
     sum_prod = np.zeros(k)
     sum_prod_sq = np.zeros(k)
-    done = 0
-    while done < n_paths:
-        take = min(_CHUNK, n_paths - done)
-        batch = sample_ggbm_batch(params, grid, rng.stream(done), take)
+    for batch in _batches(params, grid, n_paths, rng):
         inc = np.diff(batch, axis=0) * scale
         f = probe(inc)
         f1 = f[0]
@@ -403,7 +401,6 @@ def check_mixing_decay(
             sum_fj[i] += fj.sum()
             sum_prod[i] += prod.sum()
             sum_prod_sq[i] += (prod * prod).sum()
-        done += take
 
     mean_f1 = sum_f1 / n_paths
     rows = []

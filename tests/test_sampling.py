@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from greyvar.errors import CapacityError, InputError, ParameterError
+from greyvar.errors import CapacityError, InputError, NumericalError, ParameterError
 from greyvar.params import GreyParams
 from greyvar.sampling import (
     DyadicGrid,
     RngSpec,
     SamplePath,
     UniformGrid,
+    _circulant_sqrt_spectrum,
     fbm_covariance,
     sample_fbm_cholesky,
     sample_fbm_cholesky_batch,
@@ -45,6 +46,17 @@ class TestCovariance:
             fbm_covariance(1.0, 0.5, 0.5)
         with pytest.raises(ParameterError):
             fbm_covariance(0.5, -0.1, 0.5)
+
+
+def test_fbm_samplers_check_hurst_first(rng):
+    for call in (
+        lambda: sample_fbm_cholesky(1.0, DyadicGrid(13), rng),
+        lambda: sample_fbm_cholesky_batch(1.0, UniformGrid(5000), rng, 2),
+        lambda: sample_fbm_circulant(0.0, 25, rng),
+        lambda: sample_fbm_circulant_batch(float("nan"), 25, rng, 2),
+    ):
+        with pytest.raises(ParameterError, match="hurst must lie in"):
+            call()
 
 
 class TestSamplePath:
@@ -98,6 +110,14 @@ class TestCirculant:
     def test_level_guard(self, rng):
         with pytest.raises(CapacityError):
             sample_fbm_circulant(0.5, 25, rng)
+        with pytest.raises(CapacityError):
+            sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(25), rng)
+
+    def test_cached_spectrum_is_shared_and_read_only(self):
+        root = _circulant_sqrt_spectrum(0.7, 16)
+        assert root is _circulant_sqrt_spectrum(0.7, 16)
+        with pytest.raises(ValueError):
+            root[0] = 0.0
 
     def test_increment_variance_level12(self, rng):
         batch = sample_fbm_circulant_batch(0.5, 12, rng.stream(100), 2_000)
@@ -141,6 +161,13 @@ class TestStableSampler:
         with pytest.raises(ParameterError):
             sample_one_sided_stable(1.0, rng)
 
+    def test_draws_outside_double_range_raise(self, rng):
+        # S = Y^(-1/beta) over- and underflows for beta near 0.
+        with pytest.raises(NumericalError, match="beta=0.001"):
+            sample_one_sided_stable(0.001, rng, 100_000)
+        draws = sample_one_sided_stable(0.05, rng, 100_000)
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+
 
 class TestMWrightSampler:
     def test_beta_one_is_unit(self, rng):
@@ -183,12 +210,25 @@ class TestGgbm:
         f = sample_fbm_circulant(0.7, 8, rng)
         assert np.array_equal(g.values, f.values)
 
-    def test_batch_equals_singles(self, rng):
-        params = GreyParams(1.2, 0.7)
-        batch = sample_ggbm_batch(params, DyadicGrid(5), rng, 6)
+    @pytest.mark.parametrize(
+        "grid, beta, atol",
+        [
+            (DyadicGrid(5), 0.7, 0.0),
+            (DyadicGrid(5), 1.0, 0.0),
+            (UniformGrid(256), 0.7, 0.0),
+            (UniformGrid(256), 1.0, 0.0),
+            # Cholesky grid: the batch product (gemm) and the one-column
+            # product (gemv) round differently.
+            (UniformGrid(100), 0.7, 1e-13),
+        ],
+        ids=["dyadic5-0.7", "dyadic5-1.0", "uniform256-0.7", "uniform256-1.0", "uniform100-0.7"],
+    )
+    def test_batch_equals_singles(self, grid, beta, atol, rng):
+        params = GreyParams(1.2, beta)
+        batch = sample_ggbm_batch(params, grid, rng, 6)
         for i in range(6):
-            single = sample_ggbm(params, DyadicGrid(5), rng.stream(i))
-            assert np.array_equal(batch[:, i], single.values)
+            single = sample_ggbm(params, grid, rng.stream(i))
+            np.testing.assert_allclose(batch[:, i], single.values, rtol=0.0, atol=atol)
 
     def test_uniform_power_of_two_grid(self, rng):
         path = sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(256), rng)
