@@ -131,9 +131,25 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> List:
         return list(pool.map(fn, items))
 
 
+# Config fields every command takes; each command declares the rest with _reads.
+_SHARED_KEYS = frozenset({"command", "master_seed", "out", "format"})
+
+
+def _reads(*keys: str):
+    """Declare the config fields a command reads besides the shared ones
+    (_SHARED_KEYS); run_config rejects any other field as a typo."""
+
+    def declare(cmd: Callable) -> Callable:
+        cmd.keys = frozenset(keys)
+        return cmd
+
+    return declare
+
+
 # ---------------------------------------------------------------- sample
 
 
+@_reads("process", "grid", "level", "n", "n_paths", "alpha", "beta", "hurst")
 def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     process = _field(cfg, "process", str, required=False, default="ggbm")
     grid = _grid_from(cfg)
@@ -196,6 +212,7 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
 # ------------------------------------------------------------- variation
 
 
+@_reads("alpha", "beta", "level", "n_paths", "p_values", "levels")
 def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     alpha = _field(cfg, "alpha", float)
     beta = _field(cfg, "beta", float)
@@ -253,6 +270,7 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
 # -------------------------------------------------------------- estimate
 
 
+@_reads("alpha", "beta", "level", "n_paths", "p", "fit_levels", "beta_region")
 def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
     alpha = _field(cfg, "alpha", float)
     beta = _field(cfg, "beta", float)
@@ -330,6 +348,7 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
 # ---------------------------------------------------------- discriminate
 
 
+@_reads("candidates", "level", "n_paths", "threshold", "record_decisions")
 def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
     cand_list = _field(cfg, "candidates", list)
     if len(cand_list) < 2:
@@ -409,6 +428,7 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
 # -------------------------------------------------------------- validate
 
 
+@_reads("param_sets", "alpha", "beta", "n_paths", "thetas", "s", "t", "moment_orders", "moment_t", "lags")
 def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     param_sets = _field(cfg, "param_sets", list, required=False)
     if param_sets is None:
@@ -470,6 +490,9 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
     """Execute one command; returns the full report dictionary."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    unknown = sorted(set(cfg) - _SHARED_KEYS - _COMMANDS[command].keys)
+    if unknown:
+        raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}")
     started = time.perf_counter()
     results = _COMMANDS[command](cfg, threads=threads)
     return {

@@ -9,6 +9,11 @@ Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
 batch core draws column i from substream i; a single path is a batch of
 one, and a batch column equals the single-path call bit for bit on
 power-of-two grids, to rounding (< 1e-13) on Cholesky grids.
+
+Substream i is numpy's PCG64 seeded by SeedSequence(entropy=master_seed,
+spawn_key=(stream_id + i,)).  The SeedSequence hash of a whole batch runs in
+one vectorised pass over uint32 arrays and gives the same PCG64 seeds bit for
+bit, so no per-path SeedSequence is built.
 """
 
 from __future__ import annotations
@@ -55,15 +60,109 @@ class RngSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.stream_id < 0:
-            raise ParameterError("stream_id must be nonnegative")
+        for name in ("master_seed", "stream_id"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+                raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # no fixed-width wraparound in stream()
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(seq))
+        return next(_substreams(self, 1))
 
     def stream(self, offset: int) -> "RngSpec":
         return RngSpec(self.master_seed, self.stream_id + offset)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(value: int) -> list:
+    """Little-endian uint32 words of a nonnegative int; zero is one word."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_entropy(entropy: list) -> list:
+    """numpy's SeedSequence pool-of-4 mixing of the assembled entropy words and
+    its generate_state(8, np.uint32), as 8 words.
+
+    A word is an int or a uint32 array with one value per path: the hash
+    constants depend only on the word count, so a batch hashes in one pass,
+    its shared words mixing as ints and the rest broadcasting.
+    """
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    return [hashmix(pool[j % 4], _MULT_B) for j in range(8)]
+
+
+def _seed_states(master_seed: int, first_id: int, n: int) -> np.ndarray:
+    """(n, 4) uint64 rows of np.random.SeedSequence(entropy=master_seed,
+    spawn_key=(i,)).generate_state(4, np.uint64), i = first_id .. first_id + n - 1.
+
+    Ids are hashed in runs that share their words above the lowest 32 bits.
+    The low word of a one-id run (every single path) is a Python int: on a
+    one-element array, numpy's per-call overhead costs 4x the int hash.
+    """
+    seed_words = _words(master_seed)
+    seed_words += [0] * (4 - len(seed_words))  # SeedSequence pads to the pool before the spawn key
+    state = np.empty((n, 8), np.uint32)
+    i, stop = first_id, first_id + n
+    while i < stop:
+        high = i >> 32
+        end = min(stop, (high + 1) << 32)
+        low = i - (high << 32)
+        if end - i > 1:
+            low = np.arange(low, end - (high << 32), dtype=np.uint32)
+        words = _hash_entropy(seed_words + [low] + (_words(high) if high else []))
+        for j, word in enumerate(words):
+            state[i - first_id:end - first_id, j] = word
+        i = end
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence's generate_state(4, np.uint64) output, computed ahead: a
+    PCG64 seeded with it is in the state the SeedSequence would give it."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _substreams(rng: RngSpec, n: int):
+    """Yield the generators of rng.stream(i), i = 0..n-1: numpy's PCG64 seeded by
+    SeedSequence(entropy=rng.master_seed, spawn_key=(rng.stream_id + i,))."""
+    for words in _seed_states(rng.master_seed, rng.stream_id, n):
+        yield np.random.Generator(np.random.PCG64(_SeedState(words)))
 
 
 @dataclass(frozen=True)
@@ -186,11 +285,29 @@ def _circulant_sqrt_spectrum(hurst: float, m: int) -> np.ndarray:
     return root
 
 
+def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
+    """Path i's Kanter U and W (beta < 1), then its normals, from rng.stream(i).
+
+    A function of its own so that the last generator, whose PCG64 holds a
+    view of the whole batch's seed array, is freed before the FFT.
+    """
+    u, w = np.empty((2, n_paths))
+    z = np.empty((n_normals, n_paths))
+    for i, gen in enumerate(_substreams(rng, n_paths)):
+        if beta != 1.0:
+            u[i] = math.pi * gen.random()  # == gen.uniform(0.0, math.pi), bit for bit
+            w[i] = gen.standard_exponential()
+        z[:, i] = gen.standard_normal(n_normals)
+    return u, w, z
+
+
 def _fbm_batch(
     hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int, cholesky: bool = False
 ) -> np.ndarray:
     """(n_points, n_paths) batch of sqrt(Y) times fBm, column i from rng.stream(i),
     as in sample_ggbm; cholesky forces Cholesky on power-of-two grids too."""
+    if n_paths < 0:
+        raise ParameterError(f"n_paths must be nonnegative, got {n_paths}")
     m = grid.n_increments
     circulant = not cholesky and m & (m - 1) == 0
     if circulant and m > 2 ** CIRCULANT_MAX_LEVEL:
@@ -200,14 +317,7 @@ def _fbm_batch(
     # Build the plan first: its temporaries are freed before the normals exist.
     plan = _circulant_sqrt_spectrum(hurst, m) if circulant else _cholesky_factor(hurst, grid)
 
-    u, w = np.empty((2, n_paths))
-    z = np.empty((2 * m if circulant else m, n_paths))
-    for i in range(n_paths):
-        gen = rng.stream(i).generator()
-        if beta != 1.0:
-            u[i] = gen.uniform(0.0, math.pi)
-            w[i] = gen.standard_exponential()
-        z[:, i] = gen.standard_normal(len(z))
+    u, w, z = _draws(beta, rng, n_paths, 2 * m if circulant else m)
 
     out = np.zeros((m + 1, n_paths))
     if circulant:

@@ -431,3 +431,80 @@ class TestPresets:
         pairs = {tuple(m["pair"]) for m in report["results"]["matrix"]}
         # 4 candidates, all pairs distinguishable
         assert len(pairs) == 6
+
+
+class TestConfigKeys:
+    VALID = {
+        "sample": {"process": "ggbm", "alpha": 1.0, "beta": 1.0, "level": 3},
+        "variation": {"alpha": 1.0, "beta": 1.0, "level": 8, "p_values": [2.0]},
+        "estimate": {"alpha": 1.0, "beta": 1.0, "level": 10, "fit_levels": [6, 10]},
+        "discriminate": {"candidates": [[1.0, 1.0], [1.6, 1.0]], "level": 8},
+        "validate": {"param_sets": [[1.0, 1.0]], "n_paths": 10_000},
+    }
+    TYPOS = {"sample": "n_path", "variation": "levl", "estimate": "fit_level",
+             "discriminate": "tresh", "validate": "moment_order"}
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_unknown_key_names_it(self, command):
+        from greyvar.cli import ConfigError
+
+        cfg = dict(self.VALID[command], master_seed=1, **{self.TYPOS[command]: 3})
+        with pytest.raises(ConfigError, match=repr(self.TYPOS[command])):
+            run_config(command, cfg)
+
+    def test_sample_typo_no_longer_ignored(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(self.VALID["sample"], master_seed=1, n_path=3, levl=9)))
+        assert main(["sample", "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'levl'" in err and "'n_path'" in err
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_use_known_keys(self, name):
+        from greyvar.cli import _COMMANDS, _SHARED_KEYS
+
+        cfg = load_preset(name)
+        assert set(cfg) <= _SHARED_KEYS | _COMMANDS[cfg["command"]].keys
+
+    # With VALID, these reach every branch that reads a field.
+    BRANCHES = [
+        ("sample", {"process": "fbm-cholesky", "grid": "uniform", "n": 5, "hurst": 0.6}),
+        ("sample", {"process": "fbm-circulant", "level": 3, "hurst": 0.6}),
+        ("validate", {"alpha": 1.0, "beta": 1.0, "n_paths": 10_000}),
+    ]
+
+    class _Recorder(dict):
+        """A config that records every field looked up in it."""
+
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            self.read = set()
+
+        def __contains__(self, key):
+            self.read.add(key)
+            return super().__contains__(key)
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            self.read.add(key)
+            return super().get(key, default)
+
+    def test_declared_keys_are_the_keys_read(self):
+        from greyvar.cli import _COMMANDS, _SHARED_KEYS
+
+        read = {command: set() for command in _COMMANDS}
+        for command, cfg in [*self.VALID.items(), *self.BRANCHES]:
+            recorder = self._Recorder(dict(cfg, master_seed=1))
+            _COMMANDS[command](recorder)
+            read[command] |= recorder.read
+        for command, cmd in _COMMANDS.items():
+            assert read[command] - _SHARED_KEYS == cmd.keys, command
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(self.VALID["sample"], master_seed=1)))
+        assert main(["sample", "--config", str(path), "--seed", "-1"]) == EXIT_USAGE
+        assert "master_seed" in capsys.readouterr().err

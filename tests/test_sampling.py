@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from greyvar import sampling
 from greyvar.errors import CapacityError, InputError, NumericalError, ParameterError
 from greyvar.params import GreyParams
 from greyvar.sampling import (
@@ -12,6 +13,8 @@ from greyvar.sampling import (
     SamplePath,
     UniformGrid,
     _circulant_sqrt_spectrum,
+    _seed_states,
+    _substreams,
     fbm_covariance,
     sample_fbm_cholesky,
     sample_fbm_cholesky_batch,
@@ -276,3 +279,98 @@ class TestGgbm:
         assert path.params == GreyParams(1.2, 0.7)
         assert path.seed == rng
         assert path.values[0] == 0.0
+
+
+def _numpy_generator(rng):
+    """numpy's own generator for a substream: the reference for the seeding."""
+    seq = np.random.SeedSequence(entropy=rng.master_seed, spawn_key=(rng.stream_id,))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _numpy_draws(beta, rng, n_paths, n_normals):
+    """The batch draws with one numpy-built generator per path: the reference for _draws."""
+    u, w = np.zeros((2, n_paths))
+    z = np.empty((n_normals, n_paths))
+    for i in range(n_paths):
+        gen = _numpy_generator(rng.stream(i))
+        if beta != 1.0:
+            u[i] = gen.uniform(0.0, math.pi)
+            w[i] = gen.standard_exponential()
+        z[:, i] = gen.standard_normal(n_normals)
+    return u, w, z
+
+
+def _numpy_kanter(beta, rng, size):
+    """M-Wright draws from a numpy-built generator, in the samplers' order."""
+    gen = _numpy_generator(rng)
+    return sampling._mwright_log_kanter(beta, gen.uniform(0.0, math.pi, size), gen.standard_exponential(size))
+
+
+class TestSubstreamSeeding:
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64, 2 ** 128 + 5]
+    IDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40]
+
+    def test_states_equal_numpy_seeding(self):
+        for seed in self.SEEDS:
+            for i in self.IDS:
+                seq = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+                words = _seed_states(seed, i, 1)
+                assert words.tobytes() == seq.generate_state(4, np.uint64).tobytes(), (seed, i)
+                gens = [gen.bit_generator.state for gen in _substreams(RngSpec(seed, i), 2)]
+                assert gens[0] == np.random.PCG64(seq).state, (seed, i)
+
+    def test_run_straddling_two_to_the_32(self):
+        rng = RngSpec(20260810, 2 ** 32 - 3)
+        expected = [_numpy_generator(rng.stream(k)).bit_generator.state for k in range(6)]
+        assert [gen.bit_generator.state for gen in _substreams(rng, 6)] == expected
+
+    @pytest.mark.parametrize("beta", [0.6, 1.0])
+    def test_batch_across_two_to_the_32_matches_numpy(self, beta, monkeypatch):
+        params = GreyParams(1.2, beta)
+        rng = RngSpec(20260810, 2 ** 32 - 3)
+        got = sample_ggbm_batch(params, DyadicGrid(4), rng, 6)
+        monkeypatch.setattr(sampling, "_draws", _numpy_draws)
+        expected = sample_ggbm_batch(params, DyadicGrid(4), rng, 6)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.3, 0.9])
+    def test_subordinator_draws_match_numpy(self, beta):
+        rng = RngSpec(2 ** 64, 2 ** 32)
+        y = _numpy_kanter(beta, rng, 100)
+        assert sample_mwright(beta, rng, 100).tobytes() == y.tobytes()
+        assert sample_one_sided_stable(beta, rng, 100).tobytes() == (y ** (-1.0 / beta)).tobytes()
+        (y1,) = _numpy_kanter(beta, rng, 1)
+        assert sample_mwright(beta, rng) == y1
+        assert sample_one_sided_stable(beta, rng) == y1 ** (-1.0 / beta)
+
+    @pytest.mark.parametrize("spec", [(-1, 0), (1.5, 0), (True, 0), ("7", 0), (0, -1), (0, 2.0)])
+    def test_rngspec_rejects_bad_seeds(self, spec):
+        with pytest.raises(ParameterError):
+            RngSpec(*spec)
+
+    def test_rngspec_accepts_numpy_integers(self):
+        assert RngSpec(np.int64(7), np.uint32(3)).generator().random() == RngSpec(7, 3).generator().random()
+        assert RngSpec(0, np.uint32(2 ** 32 - 1)).stream(1).stream_id == 2 ** 32
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_small_batches_match_numpy(self, n):
+        rng = RngSpec(2 ** 64 + 1, 2 ** 32 - 2)
+        expected = [_numpy_generator(rng.stream(k)).bit_generator.state for k in range(n)]
+        assert [gen.bit_generator.state for gen in _substreams(rng, n)] == expected
+        assert rng.generator().bit_generator.state == expected[0]
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize(
+        "draw, n_points",
+        [
+            (lambda n, rng: sample_ggbm_batch(GreyParams(1.2, 0.7), DyadicGrid(3), rng, n), 9),
+            (lambda n, rng: sample_fbm_cholesky_batch(0.6, UniformGrid(5), rng, n), 6),
+            (lambda n, rng: sample_fbm_circulant_batch(0.6, 3, rng, n), 9),
+        ],
+        ids=["ggbm", "fbm-cholesky", "fbm-circulant"],
+    )
+    def test_negative_rejected_zero_empty(self, draw, n_points, rng):
+        with pytest.raises(ParameterError, match="n_paths"):
+            draw(-1, rng)
+        assert draw(0, rng).shape == (n_points, 0)
