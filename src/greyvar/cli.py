@@ -18,12 +18,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from importlib import resources
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .errors import GreyVarError, NumericalError, AccuracyError, EstimationError
+from .errors import GreyVarError, NumericalError
 from .inference import (
     BetaRegion,
     Candidate,
@@ -46,13 +46,7 @@ from .sampling import (
     sample_fbm_circulant,
     sample_ggbm,
 )
-from .serialize import (
-    atomic_write_text,
-    dump_report,
-    path_to_csv,
-    save_bundle,
-    variation_table_csv,
-)
+from .serialize import atomic_write_text, dump_report, path_to_csv, save_bundle, table_csv
 from .special import theoretical_variation_limit
 from .validation import (
     CfCheckSpec,
@@ -61,7 +55,7 @@ from .validation import (
     check_mixing_decay,
     special_identity_report,
 )
-from .variation import VariationRecord, variation_sequence, variation_trichotomy
+from .variation import variation_sequence, variation_trichotomy
 
 __all__ = ["main", "run_config", "load_preset", "PRESET_NAMES"]
 
@@ -77,29 +71,43 @@ class ConfigError(GreyVarError):
     """A config field is missing or malformed (usage error)."""
 
 
+def _convert(value, kind):
+    if isinstance(kind, list):  # [kind]: a list of any length
+        if not isinstance(value, list):
+            raise ValueError
+        return [_convert(v, kind[0]) for v in value]
+    if isinstance(kind, tuple):  # (kind, ...): a list of exactly that length
+        if not isinstance(value, list) or len(value) != len(kind):
+            raise ValueError
+        return tuple(_convert(v, k) for v, k in zip(value, kind))
+    if kind is int:
+        if isinstance(value, bool) or int(value) != value:
+            raise ValueError
+        return int(value)
+    if kind is float:
+        return float(value)
+    if kind in (str, bool):
+        if not isinstance(value, kind):
+            raise ValueError
+        return value
+    raise AssertionError(kind)
+
+
 def _field(cfg: dict, key: str, kind, required: bool = True, default=None):
+    """Read and check one config field.
+
+    `kind` is int, float, str or bool, `[kind]` for a list of any length,
+    or a tuple of kinds such as `(int, int)` for a list of that length.
+    A missing optional field gives `default` as it is.
+    """
     if key not in cfg:
         if required:
             raise ConfigError(f"config field {key!r} is required")
         return default
     value = cfg[key]
     try:
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
-        if kind is float:
-            return float(value)
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ValueError
-            return value
-        raise AssertionError(kind)
-    except (TypeError, ValueError):
+        return _convert(value, kind)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config field {key!r} has invalid value {value!r}") from None
 
 
@@ -121,6 +129,24 @@ def _n_paths(cfg: dict, default: int) -> int:
 
 def _seed_spec(cfg: dict) -> RngSpec:
     return RngSpec(_field(cfg, "master_seed", int), 0)
+
+
+def _output(cfg: dict, default_format: str) -> Tuple[Optional[str], str]:
+    """The shared `out` and `format` fields, checked."""
+    out = _field(cfg, "out", str, required=False)
+    fmt = _field(cfg, "format", str, required=False, default=default_format)
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"config field 'format' must be 'csv' or 'json', got {fmt!r}")
+    return out, fmt
+
+
+def _write(cfg: dict, results: dict, header: Sequence[str] = (), rows: Sequence = ()) -> dict:
+    """Write a command's output to `out`, if set, and return `results`: the
+    CSV table (header, rows) when `format` is csv, the JSON report otherwise."""
+    out, fmt = _output(cfg, "json")
+    if out:
+        atomic_write_text(out, table_csv(header, rows) if fmt == "csv" else dump_report(results))
+    return results
 
 
 def _pmap(fn: Callable, items: Sequence, threads: int) -> List:
@@ -154,22 +180,22 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     process = _field(cfg, "process", str, required=False, default="ggbm")
     grid = _grid_from(cfg)
     n_paths = _n_paths(cfg, 1)
+    out, fmt = _output(cfg, "csv")
     base = _seed_spec(cfg)
-
-    def one(i: int) -> SamplePath:
-        rng = base.stream(i)
-        if process == "ggbm":
-            params = GreyParams(_field(cfg, "alpha", float), _field(cfg, "beta", float))
-            return sample_ggbm(params, grid, rng)
-        if process == "fbm-cholesky":
-            return sample_fbm_cholesky(_field(cfg, "hurst", float), grid, rng)
-        if process == "fbm-circulant":
-            if not isinstance(grid, DyadicGrid):
-                raise ConfigError("fbm-circulant requires a dyadic grid")
-            return sample_fbm_circulant(_field(cfg, "hurst", float), grid.level, rng)
+    draw: Callable[[RngSpec], SamplePath]
+    if process == "ggbm":
+        params = GreyParams(_field(cfg, "alpha", float), _field(cfg, "beta", float))
+        draw = partial(sample_ggbm, params, grid)
+    elif process == "fbm-cholesky":
+        draw = partial(sample_fbm_cholesky, _field(cfg, "hurst", float), grid)
+    elif process == "fbm-circulant":
+        if not isinstance(grid, DyadicGrid):
+            raise ConfigError("fbm-circulant requires a dyadic grid")
+        draw = partial(sample_fbm_circulant, _field(cfg, "hurst", float), grid.level)
+    else:
         raise ConfigError(f"unknown process {process!r}")
 
-    paths = _pmap(one, range(n_paths), threads)
+    paths = _pmap(lambda i: draw(base.stream(i)), range(n_paths), threads)
     checksum = hashlib.sha256(b"".join(p.values.tobytes() for p in paths)).hexdigest()
     results: dict = {
         "n_paths": n_paths,
@@ -178,34 +204,24 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
         "files": [],
     }
 
-    out = cfg.get("out")
-    fmt = _field(cfg, "format", str, required=False, default="csv")
-    if out:
-        if out.endswith(".npz"):
-            save_bundle(out, paths, config=cfg)
-            results["files"] = [out]
-        elif fmt == "json":
-            payload = {
-                "times": list(map(float, grid.times())),
-                "paths": [list(map(float, p.values)) for p in paths],
-                "config": cfg,
-            }
-            atomic_write_text(out, json.dumps(payload, sort_keys=True))
-            results["files"] = [out]
-        elif fmt == "csv":
-            if n_paths == 1:
-                atomic_write_text(out, path_to_csv(paths[0]))
-                results["files"] = [out]
-            else:
-                stem, ext = os.path.splitext(out)
-                names = []
-                for i, p in enumerate(paths):
-                    name = f"{stem}_{i:04d}{ext or '.csv'}"
-                    atomic_write_text(name, path_to_csv(p))
-                    names.append(name)
-                results["files"] = names
-        else:
-            raise ConfigError(f"unknown format {fmt!r}")
+    if not out:
+        return results
+    results["files"] = [out]
+    if out.endswith(".npz"):
+        save_bundle(out, paths, config=cfg)
+    elif fmt == "json":
+        payload = {
+            "times": list(map(float, grid.times())),
+            "paths": [list(map(float, p.values)) for p in paths],
+            "config": cfg,
+        }
+        atomic_write_text(out, json.dumps(payload, sort_keys=True))
+    else:
+        if n_paths > 1:
+            stem, ext = os.path.splitext(out)
+            results["files"] = [f"{stem}_{i:04d}{ext or '.csv'}" for i in range(n_paths)]
+        for name, p in zip(results["files"], paths):
+            atomic_write_text(name, path_to_csv(p))
     return results
 
 
@@ -219,9 +235,9 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     params = GreyParams(alpha, beta)
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 1)
-    p_values = [float(p) for p in _field(cfg, "p_values", list)]
-    lo, hi = _field(cfg, "levels", list, required=False, default=[max(1, level - 8), level])
-    levels = list(range(int(lo), int(hi) + 1))
+    p_values = _field(cfg, "p_values", [float])
+    lo, hi = _field(cfg, "levels", (int, int), required=False, default=(max(1, level - 8), level))
+    levels = list(range(lo, hi + 1))
     base = _seed_spec(cfg)
 
     def one(i: int):
@@ -252,19 +268,8 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
         "mu": theoretical_variation_limit(params),
         "n_paths": n_paths,
     }
-
-    out = cfg.get("out")
-    fmt = _field(cfg, "format", str, required=False, default="json")
-    if out:
-        if fmt == "csv":
-            records = []
-            for entry in table:
-                for lev, mean in zip(entry["levels"], entry["mean"]):
-                    records.append(VariationRecord(level_or_n=lev, p=entry["p"], value=mean))
-            atomic_write_text(out, variation_table_csv(records))
-        else:
-            atomic_write_text(out, dump_report(results))
-    return results
+    rows = [(lev, e["p"], mean) for e in table for lev, mean in zip(e["levels"], e["mean"])]
+    return _write(cfg, results, ("level", "p", "value"), rows)
 
 
 # -------------------------------------------------------------- estimate
@@ -278,7 +283,7 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 100)
     p = _field(cfg, "p", float, required=False, default=1.0)
-    lo, hi = _field(cfg, "fit_levels", list, required=False, default=[8, level])
+    fit_levels = _field(cfg, "fit_levels", (int, int), required=False, default=(8, level))
     region_name = _field(cfg, "beta_region", str, required=False, default="auto")
     if region_name == "auto":
         region = region_for(params)
@@ -290,7 +295,7 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
 
     def one(i: int):
         path = sample_ggbm(params, DyadicGrid(level), base.stream(i))
-        a = estimate_alpha(path, p, (int(lo), int(hi)))
+        a = estimate_alpha(path, p, fit_levels)
         row = {
             "path": i,
             "alpha_hat": a.alpha_hat,
@@ -300,7 +305,7 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
         try:
             b = estimate_beta(path, alpha, region)
             row.update(beta_hat=b.beta_hat, beta_boundary=b.boundary, beta_error=None)
-        except (EstimationError, GreyVarError) as exc:
+        except GreyVarError as exc:
             row.update(beta_hat=None, beta_boundary=None, beta_error=type(exc).__name__)
         return row, path
 
@@ -326,23 +331,8 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
             "pooled_beta": pooled_dict,
         },
     }
-
-    out = cfg.get("out")
-    fmt = _field(cfg, "format", str, required=False, default="json")
-    if out:
-        if fmt == "csv":
-            lines = ["path,alpha_hat,alpha_se,alpha_boundary,beta_hat,beta_boundary,beta_error"]
-            for r in rows:
-                lines.append(
-                    f"{r['path']},{r['alpha_hat']!r},{r['alpha_se']!r},{r['alpha_boundary']},"
-                    f"{'' if r['beta_hat'] is None else repr(r['beta_hat'])},"
-                    f"{'' if r['beta_boundary'] is None else r['beta_boundary']},"
-                    f"{r['beta_error'] or ''}"
-                )
-            atomic_write_text(out, "\n".join(lines) + "\n")
-        else:
-            atomic_write_text(out, dump_report(results))
-    return results
+    header = ("path", "alpha_hat", "alpha_se", "alpha_boundary", "beta_hat", "beta_boundary", "beta_error")
+    return _write(cfg, results, header, [[r[c] for c in header] for r in rows])
 
 
 # ---------------------------------------------------------- discriminate
@@ -350,14 +340,14 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
 
 @_reads("candidates", "level", "n_paths", "threshold", "record_decisions")
 def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
-    cand_list = _field(cfg, "candidates", list)
+    cand_list = _field(cfg, "candidates", [(float, float)])
     if len(cand_list) < 2:
         raise ConfigError("need at least two candidates")
-    candidates = [Candidate(GreyParams(float(a), float(b))) for a, b in cand_list]
+    candidates = [Candidate(GreyParams(a, b)) for a, b in cand_list]
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 100)
     threshold = _field(cfg, "threshold", float, required=False, default=0.5)
-    record_decisions = bool(cfg.get("record_decisions", False))
+    record_decisions = _field(cfg, "record_decisions", bool, required=False, default=False)
     base = _seed_spec(cfg)
 
     pairs = []
@@ -409,20 +399,9 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
         "matrix": matrix,
         "skipped_pairs": skipped,
     }
-    out = cfg.get("out")
-    fmt = _field(cfg, "format", str, required=False, default="json")
-    if out:
-        if fmt == "csv":
-            lines = ["pair_j,pair_k,truth,first,second,inconclusive,accuracy"]
-            for m in matrix:
-                lines.append(
-                    f"{m['pair'][0]},{m['pair'][1]},{m['truth']},{m['counts']['first']},"
-                    f"{m['counts']['second']},{m['counts']['inconclusive']},{m['accuracy']!r}"
-                )
-            atomic_write_text(out, "\n".join(lines) + "\n")
-        else:
-            atomic_write_text(out, dump_report(results))
-    return results
+    header = ("pair_j", "pair_k", "truth", "first", "second", "inconclusive", "accuracy")
+    rows = [(*m["pair"], m["truth"], *m["counts"].values(), m["accuracy"]) for m in matrix]
+    return _write(cfg, results, header, rows)
 
 
 # -------------------------------------------------------------- validate
@@ -430,16 +409,18 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
 
 @_reads("param_sets", "alpha", "beta", "n_paths", "thetas", "s", "t", "moment_orders", "moment_t", "lags")
 def cmd_validate(cfg: dict, threads: int = 1) -> dict:
-    param_sets = _field(cfg, "param_sets", list, required=False)
+    if _output(cfg, "json")[1] == "csv":
+        raise ConfigError("validate writes no table: config field 'format' must be 'json'")
+    param_sets = _field(cfg, "param_sets", [(float, float)], required=False)
     if param_sets is None:
-        param_sets = [[_field(cfg, "alpha", float), _field(cfg, "beta", float)]]
+        param_sets = [(_field(cfg, "alpha", float), _field(cfg, "beta", float))]
     n_paths = _n_paths(cfg, 20000)
-    thetas = tuple(float(x) for x in _field(cfg, "thetas", list, required=False, default=[0.0, 0.5, 1.0, 2.0]))
+    thetas = tuple(_field(cfg, "thetas", [float], required=False, default=[0.0, 0.5, 1.0, 2.0]))
     s = _field(cfg, "s", float, required=False, default=0.5)
     t = _field(cfg, "t", float, required=False, default=1.0)
-    orders = [int(o) for o in _field(cfg, "moment_orders", list, required=False, default=[2, 4])]
+    orders = _field(cfg, "moment_orders", [int], required=False, default=[2, 4])
     moment_t = _field(cfg, "moment_t", float, required=False, default=1.0)
-    lags = [int(l) for l in _field(cfg, "lags", list, required=False, default=[1, 2, 4, 8, 16, 32, 64])]
+    lags = _field(cfg, "lags", [int], required=False, default=[1, 2, 4, 8, 16, 32, 64])
     base = _seed_spec(cfg)
 
     # Each check draws from its own stream offset, so the thread count
@@ -447,7 +428,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     tasks: List[Callable] = [special_identity_report]
     stream = 1_000_000
     for a, b in param_sets:
-        params = GreyParams(float(a), float(b))
+        params = GreyParams(a, b)
         tasks += [
             partial(check_increment_cf, params, CfCheckSpec(thetas, s, t, n_paths), base.stream(stream)),
             partial(check_even_moments, params, moment_t, orders, n_paths, base.stream(stream + n_paths)),
@@ -462,10 +443,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
         "all_passed": all(c["passed"] for c in checks),
         "n_paths": n_paths,
     }
-    out = cfg.get("out")
-    if out:
-        atomic_write_text(out, dump_report(results))
-    return results
+    return _write(cfg, results)
 
 
 # ------------------------------------------------------------------ shell
@@ -493,6 +471,7 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
     unknown = sorted(set(cfg) - _SHARED_KEYS - _COMMANDS[command].keys)
     if unknown:
         raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}")
+    _output(cfg, "json")  # the shared fields, checked before any work
     started = time.perf_counter()
     results = _COMMANDS[command](cfg, threads=threads)
     return {
@@ -504,15 +483,18 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
 
 
 def _resolve_threads(value: Optional[int]) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("GREYVAR_THREADS")
-    if env:
+    source = "--threads"
+    if value is None:
+        source, env = "GREYVAR_THREADS", os.environ.get("GREYVAR_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError:
-            raise ConfigError(f"GREYVAR_THREADS must be an integer, got {env!r}")
-    return 1
+            raise ConfigError(f"GREYVAR_THREADS must be an integer, got {env!r}") from None
+    if value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -543,8 +525,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(args.config) as handle:
                     cfg = json.load(handle)
-            except OSError:
-                raise
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         elif args.preset:
@@ -570,10 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report = run_config(args.command, cfg, threads=threads)
         sys.stdout.write(dump_report(report) + "\n")
         return EXIT_OK
-    except (ConfigError,) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericalError, AccuracyError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""File formats: path CSV, binary run bundles, variation tables, reports.
+"""File formats: path CSV, binary run bundles, CSV tables, reports.
 
 All writes are atomic (temp file in the target directory, then rename).
 Floats are written with Python's shortest round-trip representation.
@@ -10,14 +10,13 @@ import io
 import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .params import GreyParams
 from .sampling import DyadicGrid, Grid, RngSpec, SamplePath, UniformGrid
-from .variation import VariationRecord
 
 __all__ = [
     "atomic_write_bytes",
@@ -26,7 +25,7 @@ __all__ = [
     "path_from_csv",
     "save_bundle",
     "load_bundle",
-    "variation_table_csv",
+    "table_csv",
     "dump_report",
 ]
 
@@ -52,6 +51,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _cell(x) -> str:
+    if isinstance(x, (float, np.floating)):
+        return _fmt(x)
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return str(bool(x))
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
+
+
+def table_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV with a header line and one line per row.
+
+    Floats (numpy ones too) are written as the shortest round-trip repr,
+    integers as integers, bools as True/False and None as an empty cell.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _grid_header(grid: Grid) -> Dict[str, str]:
     if isinstance(grid, DyadicGrid):
         return {"grid": "dyadic", "level": str(grid.level)}
@@ -67,12 +89,8 @@ def path_to_csv(path: SamplePath) -> str:
     if path.seed is not None:
         meta["master_seed"] = str(path.seed.master_seed)
         meta["stream_id"] = str(path.seed.stream_id)
-    out = io.StringIO()
-    out.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-    out.write("t,value\n")
-    for t, v in zip(path.grid.times(), path.values):
-        out.write(f"{_fmt(t)},{_fmt(v)}\n")
-    return out.getvalue()
+    comment = "# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n"
+    return comment + table_csv(("t", "value"), zip(path.grid.times().tolist(), path.values.tolist()))
 
 
 def path_from_csv(text: str) -> SamplePath:
@@ -162,14 +180,6 @@ def load_bundle(path: str):
             seed = RngSpec(seeds[i]["master_seed"], seeds[i]["stream_id"])
         paths.append(SamplePath(grid=grid, values=values[:, i], params=params, seed=seed))
     return paths, header
-
-
-def variation_table_csv(records: Sequence[VariationRecord]) -> str:
-    out = io.StringIO()
-    out.write("level,p,value\n")
-    for r in records:
-        out.write(f"{r.level_or_n},{_fmt(r.p)},{_fmt(r.value)}\n")
-    return out.getvalue()
 
 
 def _json_default(obj):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ from greyvar.cli import (
     EXIT_OK,
     EXIT_USAGE,
     PRESET_NAMES,
+    ConfigError,
     cmd_discriminate,
     cmd_estimate,
     cmd_sample,
@@ -26,6 +28,7 @@ from greyvar.serialize import (
     path_from_csv,
     path_to_csv,
     save_bundle,
+    table_csv,
 )
 
 
@@ -508,3 +511,141 @@ class TestConfigKeys:
         path.write_text(json.dumps(dict(self.VALID["sample"], master_seed=1)))
         assert main(["sample", "--config", str(path), "--seed", "-1"]) == EXIT_USAGE
         assert "master_seed" in capsys.readouterr().err
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called before the config was checked")
+
+
+class TestMalformedConfig:
+    BASE = {
+        "sample": {"process": "ggbm", "alpha": 1.0, "beta": 1.0, "level": 3},
+        "variation": {"alpha": 1.2, "beta": 0.7, "level": 6, "p_values": [2.0], "levels": [2, 6]},
+        "estimate": {"alpha": 1.0, "beta": 1.0, "level": 8, "n_paths": 2, "fit_levels": [4, 8]},
+        "discriminate": {"candidates": [[1.0, 1.0], [1.6, 1.0]], "level": 8, "n_paths": 2},
+        "validate": {"param_sets": [[1.0, 1.0]], "n_paths": 10_000},
+    }
+
+    @pytest.mark.parametrize(
+        ("command", "key", "value"),
+        [
+            pytest.param("variation", "levels", [1, 2, 3], id="levels-three"),
+            pytest.param("estimate", "fit_levels", [6], id="fit_levels-one"),
+            pytest.param("estimate", "fit_levels", [6.5, 10], id="fit_levels-fraction"),
+            pytest.param("variation", "p_values", ["a"], id="p_values-string"),
+            pytest.param("discriminate", "candidates", [[1.0, 1.0], [1.6]], id="candidates-short"),
+            pytest.param("discriminate", "candidates", [[1.0, 1.0], [1.6, "x"]], id="candidates-string"),
+            pytest.param("validate", "param_sets", [[1.0]], id="param_sets-short"),
+            pytest.param("validate", "lags", ["a"], id="lags-string"),
+            pytest.param("discriminate", "record_decisions", "no", id="record_decisions-string"),
+            pytest.param("sample", "out", 5, id="out-int"),
+            pytest.param("variation", "format", "xml", id="format-xml"),
+        ],
+    )
+    def test_usage_error_names_field(self, command, key, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        cfg = {**self.BASE[command], "master_seed": 1, "out": str(out_dir / "o.csv"), key: value}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        assert repr(key) in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+
+    def test_sample_checks_process_before_any_path(self, monkeypatch):
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
+        cfg = {"process": "ou", "level": 3, "n_paths": 2, "master_seed": 1}
+        with pytest.raises(ConfigError, match="process"):
+            run_config("sample", cfg, threads=2)
+
+    def test_validate_rejects_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("greyvar.cli._pmap", _forbidden)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(self.BASE["validate"], master_seed=1)))
+        out = tmp_path / "v.csv"
+        assert main(["validate", "--config", str(path), "--format", "csv", "--out", str(out)]) == EXIT_USAGE
+        assert "'format'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "env"),
+        [(["--threads", "0"], None), (["--threads", "-4"], None), ([], "0")],
+        ids=["flag-0", "flag-negative", "env-0"],
+    )
+    def test_thread_count_below_one(self, flags, env, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
+        monkeypatch.setattr("greyvar.cli.run_config", _forbidden)
+        monkeypatch.delenv("GREYVAR_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("GREYVAR_THREADS", env)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(self.BASE["sample"], master_seed=1)))
+        assert main(["sample", "--config", str(path), *flags]) == EXIT_USAGE
+        assert "threads" in capsys.readouterr().err.lower()
+
+
+def _cell_is(cell: str, value) -> bool:
+    if value is None:
+        return cell == ""
+    if isinstance(value, (bool, str)):
+        return cell == str(value)
+    return float(cell) == value
+
+
+class TestCsvTables:
+    def _round_trip(self, command, cfg, tmp_path):
+        """Run `command` with a CSV `out`; return its results, CSV header and rows."""
+        out = tmp_path / f"{command}.csv"
+        report = run_config(command, dict(cfg, master_seed=1, out=str(out), format="csv"))
+        with open(out, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        return report["results"], header, rows
+
+    @staticmethod
+    def _assert_cells(rows, expected):
+        assert len(rows) == len(expected)
+        for row, values in zip(rows, expected):
+            assert len(row) == len(values)
+            assert all(_cell_is(c, v) for c, v in zip(row, values)), (row, values)
+
+    def test_variation(self, tmp_path):
+        cfg = {"alpha": 1.2, "beta": 0.7, "level": 8, "n_paths": 3, "p_values": [1.0, 2.0], "levels": [5, 8]}
+        results, header, rows = self._round_trip("variation", cfg, tmp_path)
+        assert header == ["level", "p", "value"]
+        expected = [
+            (level, entry["p"], mean)
+            for entry in results["table"]
+            for level, mean in zip(entry["levels"], entry["mean"])
+        ]
+        self._assert_cells(rows, expected)
+
+    def test_estimate_with_unsolved_rows(self, tmp_path):
+        cfg = {"alpha": 1.0, "beta": 0.5, "level": 10, "n_paths": 12, "fit_levels": [6, 10]}
+        results, header, rows = self._round_trip("estimate", cfg, tmp_path)
+        assert header == [
+            "path", "alpha_hat", "alpha_se", "alpha_boundary", "beta_hat", "beta_boundary", "beta_error",
+        ]
+        assert any(r["beta_error"] == "NoSolutionError" for r in results["rows"])
+        assert any(r["beta_error"] is None for r in results["rows"])
+        self._assert_cells(rows, [[r[c] for c in header] for r in results["rows"]])
+
+    def test_discriminate(self, tmp_path):
+        cfg = {"candidates": [[1.0, 1.0], [1.6, 1.0], [1.2, 0.5]], "level": 8, "n_paths": 4}
+        results, header, rows = self._round_trip("discriminate", cfg, tmp_path)
+        assert header == ["pair_j", "pair_k", "truth", "first", "second", "inconclusive", "accuracy"]
+        expected = [
+            (*m["pair"], m["truth"], m["counts"]["first"], m["counts"]["second"],
+             m["counts"]["inconclusive"], m["accuracy"])
+            for m in results["matrix"]
+        ]
+        assert len(expected) == 6
+        self._assert_cells(rows, expected)
+
+    def test_table_csv_cells(self):
+        rows = [
+            (np.float64(0.1), np.bool_(True), np.int64(3), None, "x"),
+            (1e-300, False, 7, None, ""),
+        ]
+        text = table_csv(("f", "b", "i", "none", "s"), rows)
+        assert text == "f,b,i,none,s\n0.1,True,3,,x\n1e-300,False,7,,\n"
