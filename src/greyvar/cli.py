@@ -85,6 +85,8 @@ def _convert(value, kind):
             raise ValueError
         return int(value)
     if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError
         return float(value)
     if kind in (str, bool):
         if not isinstance(value, kind):

@@ -215,7 +215,7 @@ class SamplePath:
     seed: Optional[RngSpec] = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float, order="C")
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) != self.grid.n_increments + 1:
             raise InputError(

@@ -129,17 +129,19 @@ def path_from_csv(text: str) -> SamplePath:
 
 
 def save_bundle(path: str, paths: Sequence[SamplePath], config: Optional[dict] = None) -> None:
-    """Binary bundle: one npz holding all path values plus a JSON header."""
+    """Binary bundle: one uncompressed npz, each path a contiguous column, plus a JSON header."""
     if not paths:
         raise InputError("bundle needs at least one path")
-    grid = paths[0].grid
+    grid, params = paths[0].grid, paths[0].params
     for p in paths:
         if p.grid != grid:
             raise InputError("bundle paths must share one grid")
+        if p.params != params:
+            raise InputError("bundle paths must share one params")
     header = {
         "grid": _grid_header(grid),
         "n_paths": len(paths),
-        "params": None,
+        "params": None if params is None else {"alpha": params.alpha, "beta": params.beta},
         "seeds": [
             {"master_seed": p.seed.master_seed, "stream_id": p.seed.stream_id}
             if p.seed
@@ -148,11 +150,9 @@ def save_bundle(path: str, paths: Sequence[SamplePath], config: Optional[dict] =
         ],
         "config": config,
     }
-    if paths[0].params is not None:
-        header["params"] = {"alpha": paths[0].params.alpha, "beta": paths[0].params.beta}
-    values = np.stack([p.values for p in paths], axis=1)
+    values = np.stack([p.values for p in paths]).T
     buf = io.BytesIO()
-    np.savez_compressed(
+    np.savez(
         buf,
         values=values,
         times=grid.times(),
@@ -172,7 +172,11 @@ def load_bundle(path: str):
     params = None
     if header.get("params"):
         params = GreyParams(header["params"]["alpha"], header["params"]["beta"])
+    if values.ndim != 2:
+        raise InputError(f"bundle {path!r} values have shape {values.shape}, not 2-D")
     seeds = header.get("seeds") or [None] * values.shape[1]
+    if len(seeds) != values.shape[1]:
+        raise InputError(f"bundle {path!r} has {len(seeds)} seeds for {values.shape[1]} paths")
     paths = []
     for i in range(values.shape[1]):
         seed = None

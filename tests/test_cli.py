@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -19,10 +21,18 @@ from greyvar.cli import (
     main,
     run_config,
 )
-from greyvar.errors import NumericalError
+from greyvar.errors import InputError, NumericalError
+from greyvar.inference import (
+    BetaRegion,
+    Candidate,
+    discriminate,
+    estimate_alpha,
+    estimate_beta,
+)
 from greyvar.params import GreyParams
-from greyvar.sampling import DyadicGrid, UniformGrid, sample_ggbm
+from greyvar.sampling import DyadicGrid, SamplePath, UniformGrid, sample_ggbm
 from greyvar.serialize import (
+    atomic_write_bytes,
     dump_report,
     load_bundle,
     path_from_csv,
@@ -30,6 +40,7 @@ from greyvar.serialize import (
     save_bundle,
     table_csv,
 )
+from greyvar.variation import variation_sequence
 
 
 
@@ -62,6 +73,102 @@ class TestSerialization:
             assert a.seed == b.seed
         assert header["params"] == {"alpha": 1.2, "beta": 0.7}
         assert header["config"] == {"note": "test"}
+
+    def _paths(self, rng, n=3, level=4, params=GreyParams(1.2, 0.7)):
+        return [sample_ggbm(params, DyadicGrid(level), rng.stream(i)) for i in range(n)]
+
+    def test_loaded_paths_are_contiguous(self, tmp_path, rng):
+        out = str(tmp_path / "runs.npz")
+        save_bundle(out, self._paths(rng))
+        back, _ = load_bundle(out)
+        assert all(p.values.flags.c_contiguous for p in back)
+
+    def test_bundle_members_are_stored_uncompressed(self, tmp_path, rng):
+        out = str(tmp_path / "runs.npz")
+        save_bundle(out, self._paths(rng))
+        with zipfile.ZipFile(out) as zf:
+            infos = zf.infolist()
+        assert sorted(i.filename for i in infos) == ["header.npy", "times.npy", "values.npy"]
+        assert all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+
+    def test_compressed_row_major_bundle_still_loads(self, tmp_path, rng):
+        paths = self._paths(rng)
+        bundle = str(tmp_path / "new.npz")
+        save_bundle(bundle, paths)
+        with np.load(bundle) as data:
+            header = data["header"]
+        buf = io.BytesIO()
+        np.savez_compressed(
+            buf,
+            values=np.stack([p.values for p in paths], axis=1),
+            times=paths[0].grid.times(),
+            header=header,
+        )
+        old = str(tmp_path / "old.npz")
+        atomic_write_bytes(old, buf.getvalue())
+        back, _ = load_bundle(old)
+        for a, b in zip(paths, back):
+            assert np.array_equal(a.values, b.values)
+            assert b.values.flags.c_contiguous
+            assert a.seed == b.seed
+
+    def test_mixed_params_rejected(self, tmp_path, rng):
+        paths = self._paths(rng, n=1) + self._paths(rng, n=1, params=GreyParams(1.6, 0.3))
+        out = tmp_path / "runs.npz"
+        with pytest.raises(InputError, match="params"):
+            save_bundle(str(out), paths)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("values", "n_seeds"),
+        [(np.zeros((17, 3)), 2), (np.zeros(17), 1)],
+        ids=["short-seeds", "one-dimensional"],
+    )
+    def test_malformed_bundle_names_file(self, values, n_seeds, tmp_path):
+        header = {
+            "grid": {"grid": "dyadic", "level": "4"},
+            "n_paths": 3,
+            "params": None,
+            "seeds": [{"master_seed": 1, "stream_id": i} for i in range(n_seeds)],
+            "config": None,
+        }
+        out = str(tmp_path / "bad.npz")
+        buf = io.BytesIO()
+        np.savez(
+            buf,
+            values=values,
+            times=DyadicGrid(4).times(),
+            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        )
+        atomic_write_bytes(out, buf.getvalue())
+        with pytest.raises(InputError, match="bad.npz"):
+            load_bundle(out)
+
+    def test_strided_column_gives_equal_statistics(self, rng):
+        params = GreyParams(1.2, 0.7)
+        stacked = np.stack([p.values for p in self._paths(rng, n=4, level=10)], axis=1)
+        column = stacked[:, 2]
+        assert not column.flags.c_contiguous
+        strided = SamplePath(DyadicGrid(10), column, params)
+        contiguous = SamplePath(DyadicGrid(10), column.copy(), params)
+        assert strided.values.flags.c_contiguous
+        own = Candidate(params)
+        rival_alpha, rival_beta = Candidate(GreyParams(1.6, 0.7)), Candidate(GreyParams(1.2, 0.3))
+
+        def stats(path):
+            return (
+                [r.value for r in variation_sequence(path, 2.0 / 1.2, range(11))],
+                estimate_alpha(path, 1.0, (4, 10)),
+                estimate_beta(path, 1.2, BetaRegion.LOW),
+                discriminate(path, own, rival_alpha).to_dict(),
+                discriminate(path, own, rival_beta).to_dict(),
+            )
+
+        assert stats(strided) == stats(contiguous)
+
+    def test_zero_d_values_rejected(self):
+        with pytest.raises(InputError):
+            SamplePath(DyadicGrid(0), np.float64(0.0))
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path, rng):
         path = sample_ggbm(GreyParams(1.0, 1.0), DyadicGrid(3), rng)
@@ -540,6 +647,12 @@ class TestMalformedConfig:
             pytest.param("discriminate", "record_decisions", "no", id="record_decisions-string"),
             pytest.param("sample", "out", 5, id="out-int"),
             pytest.param("variation", "format", "xml", id="format-xml"),
+            pytest.param("variation", "alpha", "1.2", id="alpha-string"),
+            pytest.param("variation", "beta", True, id="beta-bool"),
+            pytest.param("variation", "p_values", [2.0, "2.0"], id="p_values-numeric-string"),
+            pytest.param(
+                "discriminate", "candidates", [[1.0, 1.0], [1.6, "1.0"]], id="candidates-numeric-string"
+            ),
         ],
     )
     def test_usage_error_names_field(self, command, key, value, tmp_path, monkeypatch, capsys):
