@@ -146,8 +146,6 @@ def estimate_alpha(
         raise InputError(f"level range top {n_hi} exceeds path level {top}")
     if n_hi - n_lo < 3:
         raise InputError("level range must span at least 3 octaves")
-    if p <= 0.0:
-        raise ParameterError(f"p must be positive, got {p}")
     levels = np.arange(n_lo, n_hi + 1)
     records = variation_sequence(path, p, levels)
     values = np.array([r.value for r in records])
@@ -344,8 +342,8 @@ def discriminate(
     top = path.dyadic_level
     if top < 8:
         raise PreconditionError("discrimination needs a dyadic path of level >= 8")
-    if threshold <= 0.0:
-        raise ParameterError("threshold must be positive")
+    if not threshold > 0.0:
+        raise ParameterError(f"threshold must be positive, got {threshold}")
 
     v1 = p_variation_sum(path, c1.p_crit).value
     v2 = p_variation_sum(path, c2.p_crit).value

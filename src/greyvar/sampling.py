@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -207,15 +207,22 @@ Grid = Union[DyadicGrid, UniformGrid]
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Values of one simulated path on a grid over [0, 1]."""
+    """Values of one simulated path on a grid over [0, 1].
+
+    ``values`` is a read-only view (the caller's array is not copied and
+    stays writeable), so the variation sums that ``greyvar.variation``
+    keeps in ``_sums`` cannot go stale.
+    """
 
     grid: Grid
     values: np.ndarray
     params: Optional[GreyParams] = None
     seed: Optional[RngSpec] = None
+    _sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float, order="C")
+        values = np.asarray(self.values, dtype=float, order="C").view()
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or len(values) != self.grid.n_increments + 1:
             raise InputError(
@@ -226,6 +233,10 @@ class SamplePath:
             raise InputError("paths start at zero by definition")
         if not np.all(np.isfinite(values)):
             raise InputError("path values must be finite")
+
+    def __reduce__(self):
+        # Copies and unpickled paths are rebuilt: read-only, no kept sums.
+        return SamplePath, (self.grid, self.values, self.params, self.seed)
 
     def increments(self) -> np.ndarray:
         return np.diff(self.values)

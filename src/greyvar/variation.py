@@ -4,17 +4,25 @@ The sum V = sum_j |x(t_j) - x(t_{j-1})|^p over consecutive grid points is
 the workhorse; on nested dyadic grids its level sequence diagnoses the
 three regimes (vanishing, exploding, critical) controlled by the sign of
 p*alpha/2 - 1.
+
+Every sum comes from one kernel, ``_level_sum``, which computes each
+(level, p) sum of a path once and keeps it on the path, so the estimators
+and discriminators that read the same sums share them.  Path values are
+read-only, so a kept sum cannot go stale.  The exponent p must be finite
+and positive; a sum that overflows the double range raises NumericalError.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, NumericalError, ParameterError
 from .params import GreyParams
 from .sampling import DyadicGrid, SamplePath, UniformGrid
 from .special import theoretical_variation_limit
@@ -34,6 +42,14 @@ __all__ = [
 # (alpha arrives as a float).
 CRITICAL_EXPONENT_TOL = 1e-12
 
+# Key of max|increment| at the finest level among a path's kept sums.
+_MAX_KEY = "max|dx|"
+
+
+def _check_exponent(p: float) -> None:
+    if not 0.0 < p < math.inf:
+        raise ParameterError(f"p must be finite and positive, got {p}")
+
 
 @dataclass(frozen=True)
 class VariationRecord:
@@ -44,8 +60,7 @@ class VariationRecord:
     value: float
 
     def __post_init__(self):
-        if self.p <= 0.0:
-            raise ParameterError("p must be positive")
+        _check_exponent(self.p)
         if self.value < 0.0:
             raise ParameterError("variation value cannot be negative")
 
@@ -72,20 +87,41 @@ class TrichotomyLabel:
             raise ParameterError("only the critical regime carries a limit")
 
 
-def _require_min_points(path: SamplePath) -> None:
-    if len(path.values) < 2:
-        raise InputError("path needs at least two points")
+def _finest(path: SamplePath) -> int:
+    """The path's own level (dyadic grids) or size n (uniform grids)."""
+    return path.grid.level if isinstance(path.grid, DyadicGrid) else path.grid.n
+
+
+def _level_sum(path: SamplePath, level: int, p: float) -> float:
+    """Sum of |increment|^p over every 2^(N-level)-th point of a level-N
+    dyadic path, or over all points of a uniform path (level = n).
+
+    The only code that evaluates a variation sum.  Each (level, p) sum is
+    computed once per path and kept on it.
+    """
+    _check_exponent(p)
+    key = (level, p)
+    value = path._sums.get(key)
+    if value is None:
+        step = 2 ** (_finest(path) - level)
+        x = path.values
+        with np.errstate(over="ignore"):
+            d = np.subtract(x[step::step], x[:-step:step])
+            np.abs(d, out=d)
+            d **= p
+            value = float(np.sum(d))
+        if not math.isfinite(value):
+            raise NumericalError(
+                f"variation sum at p={p}, level {level} overflows the double range"
+            )
+        path._sums[key] = value
+    return value
 
 
 def p_variation_sum(path: SamplePath, p: float) -> VariationRecord:
     """Sum of |increment|^p over consecutive grid points."""
-    if p <= 0.0:
-        raise ParameterError(f"p must be positive, got {p}")
-    _require_min_points(path)
-    inc = np.abs(path.increments())
-    value = float(np.sum(inc ** p))
-    level_or_n = path.grid.level if isinstance(path.grid, DyadicGrid) else path.grid.n
-    return VariationRecord(level_or_n=level_or_n, p=p, value=value)
+    level_or_n = _finest(path)
+    return VariationRecord(level_or_n=level_or_n, p=p, value=_level_sum(path, level_or_n, p))
 
 
 def renormalized_statistic(path: SamplePath, p: float, alpha: float) -> float:
@@ -111,8 +147,7 @@ def variation_trichotomy(alpha: float, beta: float, p: float) -> TrichotomyLabel
     is theoretical_variation_limit(alpha, beta).
     """
     params = GreyParams(alpha, beta)
-    if p <= 0.0:
-        raise ParameterError(f"p must be positive, got {p}")
+    _check_exponent(p)
     gap = p * alpha / 2.0 - 1.0
     if abs(gap) <= CRITICAL_EXPONENT_TOL:
         return TrichotomyLabel(Regime.CRITICAL_FINITE, theoretical_variation_limit(params))
@@ -130,19 +165,13 @@ def variation_sequence(
     the records live on the nested dyadic partitions of a single path.
     """
     top = path.dyadic_level
-    _require_min_points(path)
-    if p <= 0.0:
-        raise ParameterError(f"p must be positive, got {p}")
     records = []
     for level in levels:
+        if isinstance(level, bool) or not isinstance(level, numbers.Integral):
+            raise InputError(f"level {level!r} is not an integer")
         if not (0 <= level <= top):
             raise InputError(f"level {level} outside [0, {top}]")
-        step = 2 ** (top - level)
-        sub = path.values[::step]
-        inc = np.abs(np.diff(sub))
-        records.append(
-            VariationRecord(level_or_n=level, p=p, value=float(np.sum(inc ** p)))
-        )
+        records.append(VariationRecord(level_or_n=level, p=p, value=_level_sum(path, level, p)))
     return records
 
 
@@ -154,10 +183,15 @@ def hoelder_dominance_bound(
     Their product bounds the q-variation sum at the same resolution, with
     equality when all increments share one magnitude.
     """
-    if not (q > p > 0.0):
+    _check_exponent(q)
+    if not q > p:
         raise ParameterError(f"need q > p > 0, got p={p}, q={q}")
-    _require_min_points(path)
-    inc = np.abs(path.increments())
-    sup_factor = float(np.max(inc) ** (q - p))
-    p_value = float(np.sum(inc ** p))
+    p_value = _level_sum(path, _finest(path), p)
+    sup = path._sums.get(_MAX_KEY)
+    if sup is None:
+        sup = path._sums[_MAX_KEY] = np.max(np.abs(path.increments()))
+    with np.errstate(over="ignore"):
+        sup_factor = float(sup ** (q - p))
+    if not math.isfinite(sup_factor):
+        raise NumericalError(f"max|increment|^(q-p) at p={p}, q={q} overflows the double range")
     return sup_factor, p_value
