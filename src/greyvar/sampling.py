@@ -10,6 +10,12 @@ batch core draws column i from substream i; a single path is a batch of
 one, and a batch column equals the single-path call bit for bit on
 power-of-two grids, to rounding (< 1e-13) on Cholesky grids.
 
+Each grid's plan is built once: the circulant square-root spectrum is
+cached per (hurst, grid size), the 8 most recent, and the Cholesky factor
+of the most recent (hurst, grid) only, up to 134 MB at the 4,097-point cap.
+A circulant draw is one hfft of the half spectrum: the spectral draw is
+Hermitian, so only its first m + 1 of 2m entries are formed.
+
 Substream i is numpy's PCG64 seeded by SeedSequence(entropy=master_seed,
 spawn_key=(stream_id + i,)).  The SeedSequence hash of a whole batch runs in
 one vectorised pass over uint32 arrays and gives the same PCG64 seeds bit for
@@ -52,6 +58,15 @@ CIRCULANT_MAX_LEVEL = 24
 CIRCULANT_EIG_TOL = 1e-9
 
 
+def _store_int(obj, name: str, minimum: int, what: str) -> None:
+    """Store field ``name`` of a frozen dataclass as a Python int >= minimum, so
+    equal values are equal cache keys; bools and non-integers raise."""
+    value = getattr(obj, name)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Seed pair identifying one reproducible random substream."""
@@ -61,10 +76,7 @@ class RngSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
-                raise ParameterError(f"{name} must be a nonnegative integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # no fixed-width wraparound in stream()
+            _store_int(self, name, 0, name)  # no fixed-width wraparound in stream()
 
     def generator(self) -> np.random.Generator:
         return next(_substreams(self, 1))
@@ -172,8 +184,7 @@ class DyadicGrid:
     level: int
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ParameterError("dyadic level must be nonnegative")
+        _store_int(self, "level", 0, "dyadic level")
 
     @property
     def n_increments(self) -> int:
@@ -191,8 +202,7 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("uniform grid size must be positive")
+        _store_int(self, "n", 1, "uniform grid size")
 
     @property
     def n_increments(self) -> int:
@@ -205,13 +215,14 @@ class UniformGrid:
 Grid = Union[DyadicGrid, UniformGrid]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplePath:
     """Values of one simulated path on a grid over [0, 1].
 
     ``values`` is a read-only view (the caller's array is not copied and
     stays writeable), so the variation sums that ``greyvar.variation``
-    keeps in ``_sums`` cannot go stale.
+    keeps in ``_sums`` cannot go stale.  Paths compare equal when grid,
+    params, seed and values are equal; they are not hashable.
     """
 
     grid: Grid
@@ -233,6 +244,13 @@ class SamplePath:
             raise InputError("paths start at zero by definition")
         if not np.all(np.isfinite(values)):
             raise InputError("path values must be finite")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grid, self.params, self.seed) == (
+            other.grid, other.params, other.seed
+        ) and np.array_equal(self.values, other.values)
 
     def __reduce__(self):
         # Copies and unpickled paths are rebuilt: read-only, no kept sums.
@@ -257,22 +275,29 @@ def fbm_covariance(hurst: float, s: float, t: float) -> float:
     return 0.5 * (s ** h2 + t ** h2 - abs(t - s) ** h2)
 
 
+# One factor only: at the Cholesky cap a factor is 134 MB, and building one
+# already holds the covariance and the factor together.
+@functools.lru_cache(maxsize=1)
 def _cholesky_factor(hurst: float, grid: Grid) -> np.ndarray:
+    """Lower Cholesky factor of the fBm covariance on grid.times()[1:];
+    read-only, as threads share it."""
     times = grid.times()[1:]
     h2 = 2.0 * hurst
     t = times[:, None]
     s = times[None, :]
     cov = 0.5 * (t ** h2 + s ** h2 - np.abs(t - s) ** h2)
     try:
-        return np.linalg.cholesky(cov)
+        factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         jitter = 1e-12 * float(np.max(np.diag(cov)))
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(len(times)))
+            factor = np.linalg.cholesky(cov + jitter * np.eye(len(times)))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"fBm covariance not positive definite even with jitter (H={hurst})"
             ) from exc
+    factor.flags.writeable = False
+    return factor
 
 
 @functools.lru_cache(maxsize=8)
@@ -332,11 +357,14 @@ def _fbm_batch(
 
     out = np.zeros((m + 1, n_paths))
     if circulant:
-        v = np.empty((2 * m, n_paths), dtype=complex)
+        # The 2m-point spectral draw is Hermitian: hfft reads only its first
+        # m + 1 entries, and the normals are freed before the transform.
+        v = np.empty((m + 1, n_paths), dtype=complex)
         v[[0, m]] = plan[[0, m], None] * z[:2]
-        v[1:m] = plan[1:m, None] * (z[2:m + 1] + 1j * z[m + 1:])
-        v[m + 1:] = np.conj(v[1:m][::-1])
-        fgn = np.fft.fft(v, axis=0)[:m].real / math.sqrt(2 * m) * (1.0 / m) ** hurst
+        np.multiply(plan[1:m, None], z[2:m + 1], out=v.real[1:m])
+        np.multiply(plan[1:m, None], z[m + 1:], out=v.imag[1:m])
+        del z
+        fgn = np.fft.hfft(v, n=2 * m, axis=0)[:m] / math.sqrt(2 * m) * (1.0 / m) ** hurst
         np.cumsum(fgn, axis=0, out=out[1:])
     else:
         out[1:] = plan @ z

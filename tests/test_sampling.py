@@ -1,10 +1,13 @@
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from greyvar import sampling
+from greyvar.cli import run_config
 from greyvar.errors import CapacityError, InputError, NumericalError, ParameterError
 from greyvar.params import GreyParams
 from greyvar.sampling import (
@@ -12,6 +15,7 @@ from greyvar.sampling import (
     RngSpec,
     SamplePath,
     UniformGrid,
+    _cholesky_factor,
     _circulant_sqrt_spectrum,
     _seed_states,
     _substreams,
@@ -26,6 +30,7 @@ from greyvar.sampling import (
     sample_one_sided_stable,
 )
 from greyvar.special import mwright_moment
+from greyvar.variation import p_variation_sum
 
 
 
@@ -374,3 +379,121 @@ class TestBatchSize:
         with pytest.raises(ParameterError, match="n_paths"):
             draw(-1, rng)
         assert draw(0, rng).shape == (n_points, 0)
+
+
+def _full_fft_batch(hurst, beta, level, rng, n_paths):
+    """A circulant batch through the full 2m-point complex FFT of the
+    conjugate-mirrored spectral draw: the reference for the half-spectrum hfft."""
+    m = 2 ** level
+    root = _circulant_sqrt_spectrum(hurst, m)
+    u, w, z = _numpy_draws(beta, rng, n_paths, 2 * m)
+    v = np.empty((2 * m, n_paths), dtype=complex)
+    v[[0, m]] = root[[0, m], None] * z[:2]
+    v[1:m] = root[1:m, None] * (z[2:m + 1] + 1j * z[m + 1:])
+    v[m + 1:] = np.conj(v[1:m][::-1])
+    fgn = np.fft.fft(v, axis=0)[:m].real / math.sqrt(2 * m) * (1.0 / m) ** hurst
+    out = np.zeros((m + 1, n_paths))
+    np.cumsum(fgn, axis=0, out=out[1:])
+    if beta != 1.0:
+        out *= np.sqrt(sampling._mwright_log_kanter(beta, u, w))
+    return out
+
+
+class TestSamplerPlans:
+    @pytest.mark.parametrize("level", [0, 1, 2, 8, 16])
+    @pytest.mark.parametrize("beta", [1.0, 0.6])
+    def test_half_spectrum_matches_full_fft(self, level, beta, rng):
+        # Relative to the largest value of the batch: path values cross zero,
+        # where an elementwise relative difference means nothing.
+        params = GreyParams(1.2, beta)
+        for n_paths in (1, 3):
+            expected = _full_fft_batch(params.hurst, beta, level, rng, n_paths)
+            if beta == 1.0:
+                batch = sample_fbm_circulant_batch(params.hurst, level, rng, n_paths)
+            else:
+                batch = sample_ggbm_batch(params, DyadicGrid(level), rng, n_paths)
+            assert np.abs(batch - expected).max() <= 1e-13 * np.abs(expected).max()
+            for i in range(n_paths):
+                single = sample_ggbm(params, DyadicGrid(level), rng.stream(i))
+                assert single.values.tobytes() == batch[:, i].tobytes()
+
+    def test_cholesky_factor_built_once_and_read_only(self):
+        grid = UniformGrid(100)
+        factor = _cholesky_factor(0.6, grid)
+        assert _cholesky_factor(0.6, UniformGrid(np.int64(100))) is factor
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
+        assert factor.tobytes() == _cholesky_factor.__wrapped__(0.6, grid).tobytes()
+
+    def test_sample_command_factorises_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        _cholesky_factor.cache_clear()
+        cfg = {"grid": "uniform", "n": 999, "n_paths": 4, "alpha": 1.2, "beta": 0.7, "master_seed": 3}
+        assert run_config("sample", cfg, threads=1)["results"]["n_paths"] == 4
+        assert calls == [(999, 999)]
+
+    def test_circulant_draw_memory(self, rng):
+        # The 2m-row complex buffer of a full FFT alone is 2 MiB at level 16.
+        params = GreyParams(1.2, 0.7)
+        sample_ggbm(params, DyadicGrid(16), rng)
+        tracemalloc.start()
+        try:
+            sample_ggbm(params, DyadicGrid(16), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * 2 ** 16
+
+
+class TestGridSize:
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (DyadicGrid, 2.5),
+            (UniformGrid, 2.5),
+            (UniformGrid, np.float64(4.0)),
+            (DyadicGrid, 3.0),
+            (UniformGrid, True),
+            (DyadicGrid, False),
+            (DyadicGrid, "3"),
+            (DyadicGrid, -1),
+            (UniformGrid, 0),
+        ],
+        ids=["dyadic-float", "uniform-float", "uniform-np-float", "dyadic-integral-float",
+             "uniform-bool", "dyadic-bool", "dyadic-string", "dyadic-negative", "uniform-zero"],
+    )
+    def test_rejected(self, make, value):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            make(value)
+
+    def test_numpy_integer_stored_as_int(self, rng):
+        grid = DyadicGrid(np.int64(3))
+        assert type(grid.level) is int
+        assert grid == DyadicGrid(3) and hash(grid) == hash(DyadicGrid(3))
+        assert type(UniformGrid(np.uint16(5)).n) is int
+        params = GreyParams(1.2, 0.7)
+        assert sample_ggbm(params, grid, rng) == sample_ggbm(params, DyadicGrid(3), rng)
+
+
+class TestSamplePathEquality:
+    def test_equal_values_compare_equal(self):
+        a = SamplePath(DyadicGrid(2), np.linspace(0, 1, 5))
+        assert a == SamplePath(DyadicGrid(2), np.linspace(0, 1, 5))
+        assert a != SamplePath(UniformGrid(4), np.linspace(0, 1, 5))
+        assert a != "path"
+
+    def test_pickled_copy_equal_one_value_changed_not(self, rng):
+        path = sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(6), rng)
+        p_variation_sum(path, 2.0)  # kept sums do not take part
+        copy = pickle.loads(pickle.dumps(path))
+        assert copy == path and not copy != path
+        values = path.values.copy()
+        values[3] += 1e-12
+        assert SamplePath(path.grid, values, path.params, path.seed) != path
+        assert SamplePath(path.grid, path.values, path.params, rng.stream(1)) != path
+
+    def test_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(SamplePath(DyadicGrid(1), np.zeros(3)))
