@@ -54,7 +54,6 @@ from .sampling import (
     sample_one_sided_stable,
 )
 from .special import (
-    EvalConfig,
     ggbm_abs_moment,
     mittag_leffler,
     mwright_moment,

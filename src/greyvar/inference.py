@@ -221,6 +221,15 @@ def _beta_from_target(alpha: float, target: float, region: BetaRegion) -> Tuple[
     return alpha * (x - 1.0), False
 
 
+def _beta_estimate(alpha: float, v: float, region: BetaRegion) -> BetaEstimate:
+    """Beta from a positive critical variation v at known alpha."""
+    target = float(_gamma(1.0 / alpha + 1.0)) * normal_abs_moment(2.0 / alpha) / v
+    beta_hat, boundary = _beta_from_target(alpha, target, region)
+    return BetaEstimate(
+        beta_hat=beta_hat, region=region, boundary=boundary, target_gamma=target, v_value=v
+    )
+
+
 def estimate_beta(
     path: SamplePath, alpha: float, region: BetaRegion = BetaRegion.LOW
 ) -> BetaEstimate:
@@ -236,15 +245,7 @@ def estimate_beta(
     v_hat = p_variation_sum(path, 2.0 / alpha).value
     if v_hat <= 0.0:
         raise InputError("critical variation sum must be positive")
-    target = float(_gamma(1.0 / alpha + 1.0)) * normal_abs_moment(2.0 / alpha) / v_hat
-    beta_hat, boundary = _beta_from_target(alpha, target, region)
-    return BetaEstimate(
-        beta_hat=beta_hat,
-        region=region,
-        boundary=boundary,
-        target_gamma=target,
-        v_value=v_hat,
-    )
+    return _beta_estimate(alpha, v_hat, region)
 
 
 def estimate_beta_pooled(
@@ -263,15 +264,7 @@ def estimate_beta_pooled(
     v_mean = float(np.mean([p_variation_sum(p, 2.0 / alpha).value for p in paths]))
     if v_mean <= 0.0:
         raise InputError("mean critical variation must be positive")
-    target = float(_gamma(1.0 / alpha + 1.0)) * normal_abs_moment(2.0 / alpha) / v_mean
-    beta_hat, boundary = _beta_from_target(alpha, target, region)
-    return BetaEstimate(
-        beta_hat=beta_hat,
-        region=region,
-        boundary=boundary,
-        target_gamma=target,
-        v_value=v_mean,
-    )
+    return _beta_estimate(alpha, v_mean, region)
 
 
 class Label(enum.Enum):

@@ -10,9 +10,10 @@ batch core draws column i from substream i; a single path is a batch of
 one, and a batch column equals the single-path call bit for bit on
 power-of-two grids, to rounding (< 1e-13) on Cholesky grids.
 
-Each grid's plan is built once: the circulant square-root spectrum is
-cached per (hurst, grid size), the 8 most recent, and the Cholesky factor
-of the most recent (hurst, grid) only, up to 134 MB at the 4,097-point cap.
+Each grid's plan is built once, under one lock across threads: the
+circulant square-root spectrum is cached per (hurst, grid size), the 8 most
+recent, and the Cholesky factor of the most recent (hurst, grid) only, up
+to 134 MB at the 4,097-point cap.
 A circulant draw is one hfft of the half spectrum: the spectral draw is
 Hermitian, so only its first m + 1 of 2m entries are formed.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -58,13 +60,12 @@ CIRCULANT_MAX_LEVEL = 24
 CIRCULANT_EIG_TOL = 1e-9
 
 
-def _store_int(obj, name: str, minimum: int, what: str) -> None:
-    """Store field ``name`` of a frozen dataclass as a Python int >= minimum, so
-    equal values are equal cache keys; bools and non-integers raise."""
-    value = getattr(obj, name)
+def _as_int(value, minimum: int, what: str) -> int:
+    """value as a Python int >= minimum, so that equal values are equal cache
+    keys; bools and non-integers raise."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    object.__setattr__(obj, name, int(value))
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,8 @@ class RngSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            _store_int(self, name, 0, name)  # no fixed-width wraparound in stream()
+            # No fixed-width wraparound in stream().
+            object.__setattr__(self, name, _as_int(getattr(self, name), 0, name))
 
     def generator(self) -> np.random.Generator:
         return next(_substreams(self, 1))
@@ -184,7 +186,7 @@ class DyadicGrid:
     level: int
 
     def __post_init__(self):
-        _store_int(self, "level", 0, "dyadic level")
+        object.__setattr__(self, "level", _as_int(self.level, 0, "dyadic level"))
 
     @property
     def n_increments(self) -> int:
@@ -202,7 +204,7 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
-        _store_int(self, "n", 1, "uniform grid size")
+        object.__setattr__(self, "n", _as_int(self.n, 1, "uniform grid size"))
 
     @property
     def n_increments(self) -> int:
@@ -321,6 +323,9 @@ def _circulant_sqrt_spectrum(hurst: float, m: int) -> np.ndarray:
     return root
 
 
+_PLAN_LOCK = threading.Lock()
+
+
 def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
     """Path i's Kanter U and W (beta < 1), then its normals, from rng.stream(i).
 
@@ -351,7 +356,9 @@ def _fbm_batch(
     if not circulant and m + 1 > CHOLESKY_MAX_POINTS:
         raise CapacityError(f"{m + 1} grid points exceed the Cholesky cap {CHOLESKY_MAX_POINTS}")
     # Build the plan first: its temporaries are freed before the normals exist.
-    plan = _circulant_sqrt_spectrum(hurst, m) if circulant else _cholesky_factor(hurst, grid)
+    # The lock keeps threads that miss the cache at once from each building it.
+    with _PLAN_LOCK:
+        plan = _circulant_sqrt_spectrum(hurst, m) if circulant else _cholesky_factor(hurst, grid)
 
     u, w, z = _draws(beta, rng, n_paths, 2 * m if circulant else m)
 
@@ -438,7 +445,8 @@ def sample_one_sided_stable(beta: float, rng: RngSpec, size: Optional[int] = Non
     """
     if not (0.0 < beta < 1.0):
         raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    y = _kanter_draws(beta, rng.generator(), 1 if size is None else size)
+    n = 1 if size is None else _as_int(size, 0, "size")
+    y = _kanter_draws(beta, rng.generator(), n)
     log2_s = -np.log2(y) / beta
     outside = np.count_nonzero((log2_s < -1022.0) | (log2_s >= 1024.0))  # not a normal double
     if outside:
@@ -452,9 +460,10 @@ def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
     stable S, which has density M_beta; beta = 1 is the unit point mass."""
     if not (0.0 < beta <= 1.0):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
+    n = 1 if size is None else _as_int(size, 0, "size")
     if beta == 1.0:
-        return 1.0 if size is None else np.ones(size)
-    draws = _kanter_draws(beta, rng.generator(), 1 if size is None else size)
+        return 1.0 if size is None else np.ones(n)
+    draws = _kanter_draws(beta, rng.generator(), n)
     return float(draws[0]) if size is None else draws
 
 

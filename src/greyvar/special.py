@@ -10,7 +10,6 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -25,8 +24,6 @@ from .errors import (
 from .params import GreyParams
 
 __all__ = [
-    "EvalConfig",
-    "DEFAULT_EVAL_CONFIG",
     "GAMMA_ARGMIN",
     "GAMMA_MIN",
     "gamma",
@@ -46,31 +43,13 @@ GAMMA_MIN = 0.8856031944108887
 # evaluation switches to the spectral integral instead.
 _SERIES_CANCEL_CAP = 1e2
 
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Accuracy knobs for series and quadrature evaluation.
-
-    max_terms covers the full tau-range of the M-Wright density down to
-    tail values ~1e-10 for beta <= 0.75 (the series needs ~300 terms near
-    that edge); beyond it the density raises AccuracyError rather than
-    truncating.
-    """
-
-    series_tol: float = 1e-15
-    max_terms: int = 512
-    quadrature_points: int = 64
-
-    def __post_init__(self):
-        if not (self.series_tol > 0.0):
-            raise ParameterError("series_tol must be positive")
-        if self.max_terms < 1:
-            raise ParameterError("max_terms must be >= 1")
-        if self.quadrature_points < 16:
-            raise ParameterError("quadrature_points must be >= 16")
-
-
-DEFAULT_EVAL_CONFIG = EvalConfig()
+# Fixed accuracy settings.  _MAX_TERMS covers the full tau-range of the M-Wright
+# density down to tail values ~1e-10 for beta <= 0.75 (the series needs
+# ~300 terms near that edge); beyond it the density raises AccuracyError
+# rather than truncating.
+_SERIES_TOL = 1e-15
+_MAX_TERMS = 512
+_QUADRATURE_POINTS = 64
 
 
 def gamma(x: float) -> float:
@@ -85,28 +64,28 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _ml_series(beta: float, s: float, config: EvalConfig):
+def _ml_series(beta: float, s: float):
     """Power-series attempt for E_beta(-s).
 
     Returns the value, or None when the series would lose too much
-    precision to cancellation or does not converge within max_terms.
+    precision to cancellation or does not converge within _MAX_TERMS terms.
     """
     log_s = math.log(s)
     total = 0.0
     prev_mag = math.inf
-    for n in range(config.max_terms):
+    for n in range(_MAX_TERMS):
         log_mag = n * log_s - gammaln(beta * n + 1.0)
         mag = math.exp(log_mag)
         if mag > _SERIES_CANCEL_CAP:
             return None
         total += mag if n % 2 == 0 else -mag
-        if mag < config.series_tol and mag <= prev_mag:
+        if mag < _SERIES_TOL and mag <= prev_mag:
             return total
         prev_mag = mag
     return None
 
 
-def _ml_spectral(beta: float, s: float, config: EvalConfig) -> float:
+def _ml_spectral(beta: float, s: float) -> float:
     """Spectral-representation integral for E_beta(-s), 0 < beta < 1, s > 0.
 
     E_beta(-s) = sin(pi b)/(pi b) * int_0^inf exp(-(s u)^(1/b)) /
@@ -136,7 +115,7 @@ def _ml_spectral(beta: float, s: float, config: EvalConfig) -> float:
         edges.add(peak)
     grid = np.array(sorted(edges))
 
-    nodes, weights = _leggauss(config.quadrature_points)
+    nodes, weights = _leggauss(_QUADRATURE_POINTS)
     lo = grid[:-1][:, None]
     hi = grid[1:][:, None]
     half = 0.5 * (hi - lo)
@@ -146,7 +125,7 @@ def _ml_spectral(beta: float, s: float, config: EvalConfig) -> float:
     return front * float(np.sum(vals * w))
 
 
-def mittag_leffler(beta: float, s: float, config: EvalConfig = DEFAULT_EVAL_CONFIG) -> float:
+def mittag_leffler(beta: float, s: float) -> float:
     """E_beta(-s) for beta in (0, 1] and s >= 0.
 
     Uses the defining power series while its terms stay small enough for
@@ -163,20 +142,20 @@ def mittag_leffler(beta: float, s: float, config: EvalConfig = DEFAULT_EVAL_CONF
         return math.exp(-s)
     if s == 0.0:
         return 1.0
-    value = _ml_series(beta, s, config)
+    value = _ml_series(beta, s)
     if value is None:
-        value = _ml_spectral(beta, s, config)
+        value = _ml_spectral(beta, s)
     # The exact function maps [0, inf) into (0, 1]; clip quadrature jitter.
     return min(max(value, 0.0), 1.0)
 
 
 # Taus per block of the vectorised M-Wright series: a block holds
-# _PDF_BLOCK * max_terms doubles per temporary, so memory stays bounded.
+# _PDF_BLOCK * _MAX_TERMS doubles per temporary, so memory stays bounded.
 _PDF_BLOCK = 128
 
 
 @lru_cache(maxsize=8)
-def _mwright_coeffs(beta: float, max_terms: int):
+def _mwright_coeffs(beta: float):
     """Beta-only parts of the M-Wright series, one entry per term n.
 
     Returns (n, log n!, envelope offset log Gamma(beta(n+1)) - log pi,
@@ -185,7 +164,7 @@ def _mwright_coeffs(beta: float, max_terms: int):
     formula in log space; where 1 - beta(n+1) is a nonpositive integer it
     vanishes, and its log-magnitude is -inf.
     """
-    n = np.arange(max_terms, dtype=float)
+    n = np.arange(_MAX_TERMS, dtype=float)
     a = 1.0 - beta * (n + 1.0)
     # sin(pi a) with exact argument reduction (exact zeros at integers).
     r = a - np.round(a)
@@ -201,9 +180,9 @@ def _mwright_coeffs(beta: float, max_terms: int):
     return coeffs
 
 
-def _mwright_block(beta: float, taus: np.ndarray, config: EvalConfig) -> np.ndarray:
+def _mwright_block(beta: float, taus: np.ndarray) -> np.ndarray:
     """The M-Wright series on a block of positive taus, one row of terms per tau."""
-    n, log_fact, env_off, rg_log, sign = _mwright_coeffs(beta, config.max_terms)
+    n, log_fact, env_off, rg_log, sign = _mwright_coeffs(beta)
     base = np.log(taus)[:, None] * n - log_fact
     env_log = base + env_off
     with np.errstate(over="ignore"):
@@ -211,9 +190,9 @@ def _mwright_block(beta: float, taus: np.ndarray, config: EvalConfig) -> np.ndar
     # Each row stops at its first term n > 0 whose envelope is below the
     # tolerance and not rising.
     stop = np.zeros(env.shape, dtype=bool)
-    stop[:, 1:] = (env[:, 1:] < config.series_tol) & (env[:, 1:] <= env[:, :-1])
+    stop[:, 1:] = (env[:, 1:] < _SERIES_TOL) & (env[:, 1:] <= env[:, :-1])
     converged = stop.any(axis=1)
-    last = np.where(converged, stop.argmax(axis=1), config.max_terms - 1)
+    last = np.where(converged, stop.argmax(axis=1), _MAX_TERMS - 1)
     over = env_log > 700.0
     overflow = over.any(axis=1) & (over.argmax(axis=1) <= last)
     failed = overflow | ~converged
@@ -222,7 +201,7 @@ def _mwright_block(beta: float, taus: np.ndarray, config: EvalConfig) -> np.ndar
         reason = (
             "terms overflow double precision"
             if overflow[i]
-            else f"did not converge within {config.max_terms} terms"
+            else f"did not converge within {_MAX_TERMS} terms"
         )
         raise AccuracyError(f"M-Wright series {reason} (beta={beta}, tau={taus[i]})")
     cols = int(last.max()) + 1
@@ -245,7 +224,7 @@ def _mwright_block(beta: float, taus: np.ndarray, config: EvalConfig) -> np.ndar
     return total
 
 
-def mwright_pdf(beta: float, tau, config: EvalConfig = DEFAULT_EVAL_CONFIG):
+def mwright_pdf(beta: float, tau):
     """M-Wright density M_beta(tau) on tau >= 0 for beta in (0, 1).
 
     tau may be a scalar, which gives a float, or an array, which gives an
@@ -273,7 +252,7 @@ def mwright_pdf(beta: float, tau, config: EvalConfig = DEFAULT_EVAL_CONFIG):
     positive = np.flatnonzero(flat > 0.0)
     for start in range(0, len(positive), _PDF_BLOCK):
         idx = positive[start:start + _PDF_BLOCK]
-        out[idx] = _mwright_block(beta, flat[idx], config)
+        out[idx] = _mwright_block(beta, flat[idx])
     if taus.ndim == 0:
         return float(out[0])
     return out.reshape(taus.shape)

@@ -1,8 +1,10 @@
 """Statistical verification of the distributional laws of the simulator.
 
-Each check simulates paths with a seeded substream layout, compares an
-empirical functional against its closed-form counterpart, and reports
-z-scores under a 4-standard-error pass policy.
+Each Monte Carlo check states a few functionals of seeded ggBm paths and
+their closed-form values.  One accumulator streams the paths and gives each
+functional's mean and standard error, and one CheckReport holds any check's
+rows and its verdict under a 4-standard-error pass policy.
+special_identity_report checks the special functions deterministically.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,15 +25,13 @@ from .special import gamma as _gamma
 from .special import mittag_leffler, mwright_pdf
 
 __all__ = [
+    "CheckReport",
     "CfCheckSpec",
     "CfRow",
-    "CfReport",
     "check_increment_cf",
     "MomentRow",
-    "MomentReport",
     "check_even_moments",
     "MixingRow",
-    "MixingReport",
     "check_mixing_decay",
     "mwright_tail_cutoff",
     "gauss_legendre_integral",
@@ -54,6 +54,8 @@ class CfCheckSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(float(x) for x in self.thetas))
+        if not self.thetas:
+            raise ParameterError("thetas must hold at least one frequency")
         if self.s == self.t:
             raise ParameterError("s and t must differ")
         if not (0.0 <= self.s <= 1.0 and 0.0 <= self.t <= 1.0):
@@ -62,33 +64,71 @@ class CfCheckSpec:
             raise ParameterError("characteristic-function checks need >= 1e4 paths")
 
 
-def _dyadic_level_for(times: Sequence[float], max_level: int = _MAX_CF_LEVEL) -> int:
-    """Smallest dyadic level whose grid contains every requested time."""
+def _dyadic_points(times: Sequence[float]) -> Tuple[DyadicGrid, List[int]]:
+    """Coarsest dyadic grid that contains every requested time, and the
+    index of each time on it."""
     level = 0
     for t in times:
-        frac = Fraction(t).limit_denominator(2 ** max_level)
+        frac = Fraction(t).limit_denominator(2 ** _MAX_CF_LEVEL)
         if float(frac) != t:
-            raise InputError(f"time {t} is not on a dyadic grid up to level {max_level}")
+            raise InputError(f"time {t} is not on a dyadic grid up to level {_MAX_CF_LEVEL}")
         den = frac.denominator
         if den & (den - 1) != 0:
             raise InputError(f"time {t} is not dyadic")
         level = max(level, den.bit_length() - 1)
-    return level
+    grid = DyadicGrid(level)
+    return grid, [int(round(t * grid.n_increments)) for t in times]
 
 
-def _batches(
-    params: GreyParams, grid: DyadicGrid, n_paths: int, rng: RngSpec
-) -> Iterator[np.ndarray]:
-    """ggBm batches of at most _CHUNK paths; path d is always drawn from
-    substream rng.stream(d), whatever the chunk size."""
+def _means(
+    params: GreyParams,
+    grid: DyadicGrid,
+    n_paths: int,
+    rng: RngSpec,
+    stats: Callable[[np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, List[float]]:
+    """Mean and standard error of each row of stats(batch), a (rows, paths)
+    array, over n_paths ggBm paths in batches of at most _CHUNK; path d is
+    always drawn from substream rng.stream(d), whatever the chunk size."""
+    if n_paths < 1:
+        raise ParameterError(f"a check needs at least one path, got {n_paths}")
+    sums = sq_sums = 0.0
     for done in range(0, n_paths, _CHUNK):
-        yield sample_ggbm_batch(params, grid, rng.stream(done), min(_CHUNK, n_paths - done))
+        rows = stats(sample_ggbm_batch(params, grid, rng.stream(done), min(_CHUNK, n_paths - done)))
+        sums = sums + rows.sum(axis=1)
+        sq_sums = sq_sums + (rows * rows).sum(axis=1)
+    mean = sums / n_paths
+    # Per scalar: numpy squares an array by x * x but a scalar by pow().
+    se = [math.sqrt(max(sq / n_paths - m ** 2, 0.0) / n_paths) for sq, m in zip(sq_sums, mean)]
+    return mean, se
 
 
 def _z_score(emp: float, ref: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if emp == ref else math.inf
     return (emp - ref) / se
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """One Monte Carlo check: its name, the sampled params, the settings that
+    define it, one row per functional, and whether it passed."""
+
+    check: str
+    params: GreyParams
+    settings: dict
+    rows: tuple
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "check": self.check,
+            "alpha": self.params.alpha,
+            "beta": self.params.beta,
+            **self.settings,
+            "passed": self.passed,
+            "rows": [vars(r) for r in self.rows],
+        }
 
 
 @dataclass(frozen=True)
@@ -103,72 +143,27 @@ class CfRow:
     z_im: float
 
 
-@dataclass(frozen=True)
-class CfReport:
-    params: GreyParams
-    spec: CfCheckSpec
-    level: int
-    rows: Tuple[CfRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(abs(r.z_re) <= Z_PASS and abs(r.z_im) <= Z_PASS for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "increment-cf",
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "s": self.spec.s,
-            "t": self.spec.t,
-            "level": self.level,
-            "passed": self.passed,
-            "rows": [vars(r) for r in self.rows],
-        }
-
-
-def check_increment_cf(params: GreyParams, spec: CfCheckSpec, rng: RngSpec) -> CfReport:
+def check_increment_cf(params: GreyParams, spec: CfCheckSpec, rng: RngSpec) -> CheckReport:
     """Empirical characteristic function of x(t) - x(s) against the
     Mittag-Leffler law E_beta(-theta^2 |t-s|^alpha / 2)."""
-    level = _dyadic_level_for([spec.s, spec.t])
-    grid = DyadicGrid(level)
-    times = grid.times()
-    i_s = int(round(spec.s * grid.n_increments))
-    i_t = int(round(spec.t * grid.n_increments))
+    grid, (i_s, i_t) = _dyadic_points([spec.s, spec.t])
 
-    n = spec.n_paths
-    sums = np.zeros((len(spec.thetas), 2))
-    sq_sums = np.zeros((len(spec.thetas), 2))
-    for batch in _batches(params, grid, n, rng):
+    def stats(batch):
         delta = batch[i_t] - batch[i_s]
-        for k, theta in enumerate(spec.thetas):
-            re = np.cos(theta * delta)
-            im = np.sin(theta * delta)
-            sums[k] += (re.sum(), im.sum())
-            sq_sums[k] += ((re * re).sum(), (im * im).sum())
+        return np.array([f(theta * delta) for theta in spec.thetas for f in (np.cos, np.sin)])
 
+    mean, se = _means(params, grid, spec.n_paths, rng, stats)
     gap = abs(spec.t - spec.s)
     rows = []
     for k, theta in enumerate(spec.thetas):
-        mean_re, mean_im = sums[k] / n
-        var_re = max(sq_sums[k][0] / n - mean_re ** 2, 0.0)
-        var_im = max(sq_sums[k][1] / n - mean_im ** 2, 0.0)
-        se_re = math.sqrt(var_re / n)
-        se_im = math.sqrt(var_im / n)
+        re, im = float(mean[2 * k]), float(mean[2 * k + 1])
+        se_re, se_im = se[2 * k], se[2 * k + 1]
         ref = mittag_leffler(params.beta, 0.5 * theta * theta * gap ** params.alpha)
-        rows.append(
-            CfRow(
-                theta=theta,
-                empirical_re=float(mean_re),
-                empirical_im=float(mean_im),
-                theoretical=ref,
-                se_re=se_re,
-                se_im=se_im,
-                z_re=_z_score(float(mean_re), ref, se_re),
-                z_im=_z_score(float(mean_im), 0.0, se_im),
-            )
-        )
-    return CfReport(params=params, spec=spec, level=level, rows=tuple(rows))
+        z_re, z_im = _z_score(re, ref, se_re), _z_score(im, 0.0, se_im)
+        rows.append(CfRow(theta, re, im, ref, se_re, se_im, z_re, z_im))
+    passed = all(abs(z) <= Z_PASS for r in rows for z in (r.z_re, r.z_im))
+    settings = {"s": spec.s, "t": spec.t, "level": grid.level}
+    return CheckReport("increment-cf", params, settings, tuple(rows), passed)
 
 
 @dataclass(frozen=True)
@@ -178,28 +173,6 @@ class MomentRow:
     theoretical: float
     se: float
     z: float
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    params: GreyParams
-    t: float
-    n_paths: int
-    rows: Tuple[MomentRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(abs(r.z) <= Z_PASS for r in self.rows)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "moments",
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "t": self.t,
-            "passed": self.passed,
-            "rows": [vars(r) for r in self.rows],
-        }
 
 
 def even_moment_formula(params: GreyParams, order: int, t: float) -> float:
@@ -218,75 +191,27 @@ def check_even_moments(
     orders: Sequence[int],
     n_paths: int,
     rng: RngSpec,
-) -> MomentReport:
+) -> CheckReport:
     """Sample moments of x(t) against the closed form; each even order is
     paired with the preceding odd order, which must vanish."""
+    if not orders:
+        raise ParameterError("orders must hold at least one moment order")
     for order in orders:
         if order <= 0 or order % 2 != 0 or order > 4:
             raise ParameterError("orders must be even, positive, and at most 4")
     if not (0.0 < t <= 1.0):
         raise ParameterError("t must lie in (0, 1]")
-    level = _dyadic_level_for([t])
-    grid = DyadicGrid(level)
-    i_t = int(round(t * grid.n_increments))
-
+    grid, (i_t,) = _dyadic_points([t])
     all_orders = sorted({o for order in orders for o in (order - 1, order)})
-    sums = np.zeros(len(all_orders))
-    sq_sums = np.zeros(len(all_orders))
-    for batch in _batches(params, grid, n_paths, rng):
-        x = batch[i_t]
-        for k, order in enumerate(all_orders):
-            powx = x ** order
-            sums[k] += powx.sum()
-            sq_sums[k] += (powx * powx).sum()
-
+    mean, se = _means(
+        params, grid, n_paths, rng, lambda batch: np.array([batch[i_t] ** o for o in all_orders])
+    )
     rows = []
-    for k, order in enumerate(all_orders):
-        mean = sums[k] / n_paths
-        var = max(sq_sums[k] / n_paths - mean ** 2, 0.0)
-        se = math.sqrt(var / n_paths)
+    for order, emp, se_k in zip(all_orders, mean, se):
         ref = even_moment_formula(params, order, t) if order % 2 == 0 else 0.0
-        rows.append(
-            MomentRow(
-                order=order,
-                empirical=float(mean),
-                theoretical=ref,
-                se=se,
-                z=_z_score(float(mean), ref, se),
-            )
-        )
-    return MomentReport(params=params, t=t, n_paths=n_paths, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class MixingRow:
-    lag: int
-    covariance: float
-    se: float
-    z: float
-
-
-@dataclass(frozen=True)
-class MixingReport:
-    params: GreyParams
-    n_paths: int
-    level: int
-    rows: Tuple[MixingRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        """Decay criterion: covariance consistent with zero at the largest lag."""
-        return abs(self.rows[-1].z) <= Z_PASS
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "mixing-decay",
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "level": self.level,
-            "passed": self.passed,
-            "rows": [vars(r) for r in self.rows],
-        }
+        rows.append(MomentRow(order, float(emp), ref, se_k, _z_score(float(emp), ref, se_k)))
+    passed = all(abs(r.z) <= Z_PASS for r in rows)
+    return CheckReport("moments", params, {"t": t}, tuple(rows), passed)
 
 
 def mwright_tail_cutoff(beta: float, log_cut: float = 21.0) -> float:
@@ -361,19 +286,27 @@ def special_identity_report() -> dict:
     }
 
 
+@dataclass(frozen=True)
+class MixingRow:
+    lag: int
+    covariance: float
+    se: float
+    z: float
+
+
 def check_mixing_decay(
     params: GreyParams,
     lags: Sequence[int],
     n_paths: int,
     rng: RngSpec,
     probe: Callable[[np.ndarray], np.ndarray] = np.tanh,
-) -> MixingReport:
+) -> CheckReport:
     """Covariance of bounded probes of unit-spaced increments against lag.
 
     Unit increments are realized from one [0, 1] dyadic path by the
     self-similarity rescaling J^(alpha/2) x(j/J), J = 2^ceil(log2(max lag)),
     so lag j pairs f(increment 1) with f(increment j).  Lag 1 is the
-    variance baseline; the decay criterion applies to the largest lag.
+    variance baseline; the decay criterion applies to the largest lag only.
     """
     lags = sorted(set(int(l) for l in lags))
     if not lags or lags[0] < 1:
@@ -382,33 +315,20 @@ def check_mixing_decay(
         raise InputError("lags are capped at 128")
     level = max(1, math.ceil(math.log2(lags[-1])))
     grid = DyadicGrid(level)
-    j_max = grid.n_increments
-    scale = float(j_max) ** (params.alpha / 2.0)
+    scale = float(grid.n_increments) ** (params.alpha / 2.0)
 
+    def stats(batch):
+        # Rows: f(inc_1), then f(inc_lag) per lag, then f(inc_1) f(inc_lag) per lag.
+        f = probe(np.diff(batch, axis=0) * scale)
+        f_lags = [f[lag - 1] for lag in lags]
+        return np.array([f[0], *f_lags, *(f[0] * fj for fj in f_lags)])
+
+    mean, se = _means(params, grid, n_paths, rng, stats)
     k = len(lags)
-    sum_f1 = 0.0
-    sum_fj = np.zeros(k)
-    sum_prod = np.zeros(k)
-    sum_prod_sq = np.zeros(k)
-    for batch in _batches(params, grid, n_paths, rng):
-        inc = np.diff(batch, axis=0) * scale
-        f = probe(inc)
-        f1 = f[0]
-        sum_f1 += f1.sum()
-        for i, lag in enumerate(lags):
-            fj = f[lag - 1]
-            prod = f1 * fj
-            sum_fj[i] += fj.sum()
-            sum_prod[i] += prod.sum()
-            sum_prod_sq[i] += (prod * prod).sum()
-
-    mean_f1 = sum_f1 / n_paths
     rows = []
     for i, lag in enumerate(lags):
-        mean_fj = sum_fj[i] / n_paths
-        mean_prod = sum_prod[i] / n_paths
-        cov = mean_prod - mean_f1 * mean_fj
-        var_prod = max(sum_prod_sq[i] / n_paths - mean_prod ** 2, 0.0)
-        se = math.sqrt(var_prod / n_paths)
-        rows.append(MixingRow(lag=lag, covariance=float(cov), se=se, z=_z_score(cov, 0.0, se)))
-    return MixingReport(params=params, n_paths=n_paths, level=level, rows=tuple(rows))
+        cov = mean[1 + k + i] - mean[0] * mean[1 + i]
+        se_prod = se[1 + k + i]
+        rows.append(MixingRow(lag, float(cov), se_prod, _z_score(cov, 0.0, se_prod)))
+    passed = bool(abs(rows[-1].z) <= Z_PASS)
+    return CheckReport("mixing-decay", params, {"level": level}, tuple(rows), passed)

@@ -361,6 +361,14 @@ class TestValidateCommand:
         assert kinds == ["special-identities", "increment-cf", "moments", "mixing-decay"]
         assert res["all_passed"]
 
+    @pytest.mark.parametrize("key", ["thetas", "moment_orders"])
+    def test_check_without_rows_is_usage_error(self, key, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        cfg = {"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1, key: []}
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == EXIT_USAGE
+        assert "must hold at least one" in capsys.readouterr().err
+
 
 class TestValidateThreads:
     def test_threads_do_not_change_results(self):

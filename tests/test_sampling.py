@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,21 @@ class TestMWrightSampler:
             x = draws ** delta
             se = x.std() / 1000.0
             assert abs(x.mean() - mwright_moment(beta, delta)) <= 4.0 * se
+
+
+class TestDrawCount:
+    SAMPLERS = [(sample_mwright, 0.5), (sample_mwright, 1.0), (sample_one_sided_stable, 0.5)]
+
+    @pytest.mark.parametrize(("sampler", "beta"), SAMPLERS)
+    @pytest.mark.parametrize("size", [-1, 2.5, np.float64(3.0), True, "3"])
+    def test_bad_size_is_parameter_error(self, sampler, beta, size, rng):
+        with pytest.raises(ParameterError, match="size must be an integer >= 0"):
+            sampler(beta, rng, size)
+
+    @pytest.mark.parametrize(("sampler", "beta"), SAMPLERS)
+    def test_integer_sizes(self, sampler, beta, rng):
+        assert sampler(beta, rng, 0).shape == (0,)
+        assert sampler(beta, rng, np.int64(3)).tobytes() == sampler(beta, rng, 3).tobytes()
 
 
 class TestSubordinatorRange:
@@ -432,6 +448,21 @@ class TestSamplerPlans:
         _cholesky_factor.cache_clear()
         cfg = {"grid": "uniform", "n": 999, "n_paths": 4, "alpha": 1.2, "beta": 0.7, "master_seed": 3}
         assert run_config("sample", cfg, threads=1)["results"]["n_paths"] == 4
+        assert calls == [(999, 999)]
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_threads_share_one_factorisation(self, threads, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        _cholesky_factor.cache_clear()
+        cfg = {"grid": "uniform", "n": 999, "n_paths": 4, "alpha": 1.2, "beta": 0.7, "master_seed": 3}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert run_config("sample", cfg, threads=threads)["results"]["n_paths"] == 4
+        finally:
+            sys.setswitchinterval(interval)
         assert calls == [(999, 999)]
 
     def test_circulant_draw_memory(self, rng):

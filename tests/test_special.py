@@ -12,7 +12,6 @@ from greyvar.errors import (
 )
 from greyvar.params import GreyParams
 from greyvar.special import (
-    EvalConfig,
     ggbm_abs_moment,
     mittag_leffler,
     mwright_moment,
@@ -252,16 +251,3 @@ class TestVariationLimit:
         se = z.std() / 1000.0
         assert abs(z.mean() - theoretical_variation_limit(GreyParams(1.2, 1.0))) <= 4.0 * se
 
-
-class TestEvalConfig:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            EvalConfig(series_tol=0.0)
-        with pytest.raises(ParameterError):
-            EvalConfig(max_terms=0)
-        with pytest.raises(ParameterError):
-            EvalConfig(quadrature_points=8)
-
-    def test_custom_config_accepted(self):
-        cfg = EvalConfig(series_tol=1e-12, max_terms=300, quadrature_points=32)
-        assert mittag_leffler(0.5, 1.0, cfg) == pytest.approx(0.4275835761558070, abs=1e-9)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from greyvar import validation
 from greyvar.errors import InputError, ParameterError
 from greyvar.params import GreyParams
+from greyvar.sampling import DyadicGrid, sample_ggbm_batch
 from greyvar.special import mittag_leffler
 from greyvar.validation import (
     CfCheckSpec,
+    CheckReport,
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,
@@ -128,6 +131,73 @@ class TestMixingDecay:
             GreyParams(1.0, 1.0), [1, 64], 20000, rng.stream(70), probe=probe
         )
         assert report.passed
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("no path may be sampled")
+
+
+class TestCheckReport:
+    def test_one_report_type_for_every_check(self, rng):
+        params = GreyParams(1.0, 1.0)
+        reports = [
+            check_increment_cf(params, CfCheckSpec((1.0,), 0.5, 1.0, 10_000), rng),
+            check_even_moments(params, 0.5, [2], 10_000, rng.stream(1)),
+            check_mixing_decay(params, [1, 4], 10_000, rng.stream(2)),
+        ]
+        keys = [
+            {"check", "alpha", "beta", "s", "t", "level", "passed", "rows"},
+            {"check", "alpha", "beta", "t", "passed", "rows"},
+            {"check", "alpha", "beta", "level", "passed", "rows"},
+        ]
+        for report, expected in zip(reports, keys):
+            assert type(report) is CheckReport and type(report.passed) is bool
+            out = report.to_dict()
+            assert set(out) == expected
+            assert out["passed"] is report.passed
+            assert out["rows"] == [vars(r) for r in report.rows]
+        assert [r.to_dict()["check"] for r in reports] == ["increment-cf", "moments", "mixing-decay"]
+        assert reports[0].to_dict()["level"] == 1 and reports[1].to_dict()["t"] == 0.5
+
+    def test_mixing_verdict_reads_the_largest_lag_only(self, rng):
+        report = check_mixing_decay(GreyParams(1.0, 1.0), [1, 64], 10_000, rng)
+        assert abs(report.rows[0].z) > 4.0 and report.passed
+
+    def test_means_stream_chunks_in_substream_order(self, rng, monkeypatch):
+        # Three chunks of 4,000, 4,000 and 2,000 paths: each row is the sum of
+        # its per-chunk sums, path d drawn from substream d.
+        monkeypatch.setattr(validation, "_CHUNK", 4000)
+        params, n = GreyParams(1.2, 0.6), 10_000
+        report = check_even_moments(params, 1.0, [2], n, rng)
+        x = np.concatenate(
+            [sample_ggbm_batch(params, DyadicGrid(0), rng.stream(d), min(4000, n - d))[1]
+             for d in range(0, n, 4000)]
+        )
+        for row in report.rows:
+            chunks = [x[d:d + 4000] ** row.order for d in range(0, n, 4000)]
+            mean = sum(c.sum() for c in chunks) / n
+            sq = sum((c * c).sum() for c in chunks) / n
+            assert row.empirical == float(mean)
+            assert row.se == math.sqrt(max(sq - mean ** 2, 0.0) / n)
+
+
+class TestChecksWithoutRows:
+    def test_cf_needs_a_frequency(self):
+        with pytest.raises(ParameterError, match="thetas"):
+            CfCheckSpec((), 0.0, 1.0, 20000)
+
+    def test_moments_need_an_order(self, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
+        with pytest.raises(ParameterError, match="orders"):
+            check_even_moments(GreyParams(1.0, 1.0), 1.0, [], 20000, rng)
+
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_checks_need_a_path(self, n_paths, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
+        with pytest.raises(ParameterError, match="at least one path"):
+            check_even_moments(GreyParams(1.0, 1.0), 1.0, [2], n_paths, rng)
+        with pytest.raises(ParameterError, match="at least one path"):
+            check_mixing_decay(GreyParams(1.0, 1.0), [1, 2], n_paths, rng)
 
 
 class TestGaussLegendre:
