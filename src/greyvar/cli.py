@@ -53,6 +53,7 @@ from .validation import (
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,
+    check_settings,
     special_identity_report,
 )
 from .variation import variation_sequence, variation_trichotomy
@@ -424,6 +425,8 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     moment_t = _field(cfg, "moment_t", float, required=False, default=1.0)
     lags = _field(cfg, "lags", [int], required=False, default=[1, 2, 4, 8, 16, 32, 64])
     base = _seed_spec(cfg)
+    cf = CfCheckSpec(thetas, s, t, n_paths)
+    check_settings(cf, moment_t, orders, lags)
 
     # Each check draws from its own stream offset, so the thread count
     # cannot change the results.
@@ -432,7 +435,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     for a, b in param_sets:
         params = GreyParams(a, b)
         tasks += [
-            partial(check_increment_cf, params, CfCheckSpec(thetas, s, t, n_paths), base.stream(stream)),
+            partial(check_increment_cf, params, cf, base.stream(stream)),
             partial(check_even_moments, params, moment_t, orders, n_paths, base.stream(stream + n_paths)),
             partial(check_mixing_decay, params, lags, n_paths, base.stream(stream + 2 * n_paths)),
         ]

@@ -12,6 +12,10 @@ Note that for beta < 1 the critical variation of a single path converges
 to a nondegenerate random limit (the subordinator multiplies the whole
 path), so per-path beta inference carries irreducible dispersion; see
 estimate_beta_pooled for the across-path aggregate that concentrates.
+
+Gamma values come from special.gamma (the standard library's math.gamma),
+and the beta inversion bisects Gamma on one of its monotone brackets, left
+or right of the minimum, to 1e-13 in the argument.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import gamma as _gamma
 
 from .errors import (
     EstimationError,
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .params import GreyParams
 from .sampling import SamplePath
-from .special import GAMMA_ARGMIN, GAMMA_MIN, normal_abs_moment, theoretical_variation_limit
+from .special import GAMMA_ARGMIN, GAMMA_MIN, gamma, normal_abs_moment, theoretical_variation_limit
 from .variation import p_variation_sum, variation_sequence
 
 __all__ = [
@@ -106,8 +108,8 @@ def distinguishability_check(c1: Candidate, c2: Candidate) -> Distinguishability
     )
     if _isclose(b1, b2):
         return DistinguishabilityResult(False, "identical parameters", same_region)
-    g1 = float(_gamma(x1))
-    g2 = float(_gamma(x2))
+    g1 = gamma(x1)
+    g2 = gamma(x2)
     if _isclose(g1, g2):
         return DistinguishabilityResult(
             False,
@@ -197,6 +199,22 @@ class BetaEstimate:
 _GAMMA_MIN_GRACE = 1e-3
 
 
+def _gamma_root(target: float, lo: float, hi: float) -> float:
+    """x in [lo, hi] with Gamma(x) = target, by bisection to 1e-13.
+
+    Gamma is monotone on [lo, hi]; a target outside Gamma's range there
+    gives the nearer end of the bracket.
+    """
+    rising = gamma(hi) > gamma(lo)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        if (gamma(mid) < target) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _beta_from_target(alpha: float, target: float, region: BetaRegion) -> Tuple[float, bool]:
     """Solve Gamma(beta/alpha + 1) = target inside the chosen region."""
     if target < GAMMA_MIN * (1.0 - _GAMMA_MIN_GRACE):
@@ -209,21 +227,21 @@ def _beta_from_target(alpha: float, target: float, region: BetaRegion) -> Tuple[
             return 0.0, True
         if target <= GAMMA_MIN:
             return alpha * (GAMMA_ARGMIN - 1.0), True
-        x = brentq(lambda v: _gamma(v) - target, 1.0 + 1e-12, GAMMA_ARGMIN, xtol=1e-13)
+        x = _gamma_root(target, 1.0 + 1e-12, GAMMA_ARGMIN)
         return alpha * (x - 1.0), False
     x_max = 1.0 / alpha + 1.0
-    g_max = float(_gamma(x_max))
+    g_max = gamma(x_max)
     if target >= g_max:
         return 1.0, not _isclose(target, g_max)
     if target <= GAMMA_MIN:
         return alpha * (GAMMA_ARGMIN - 1.0), True
-    x = brentq(lambda v: _gamma(v) - target, GAMMA_ARGMIN, x_max, xtol=1e-13)
+    x = _gamma_root(target, GAMMA_ARGMIN, x_max)
     return alpha * (x - 1.0), False
 
 
 def _beta_estimate(alpha: float, v: float, region: BetaRegion) -> BetaEstimate:
     """Beta from a positive critical variation v at known alpha."""
-    target = float(_gamma(1.0 / alpha + 1.0)) * normal_abs_moment(2.0 / alpha) / v
+    target = gamma(1.0 / alpha + 1.0) * normal_abs_moment(2.0 / alpha) / v
     beta_hat, boundary = _beta_from_target(alpha, target, region)
     return BetaEstimate(
         beta_hat=beta_hat, region=region, boundary=boundary, target_gamma=target, v_value=v

@@ -4,21 +4,27 @@ Evaluates the Mittag-Leffler function on the negative real axis, the
 M-Wright density, moment formulas of the M-Wright law, absolute moments of
 the standard normal, and the critical variation limits built from them.
 
+Log-Gamma and Gamma values come from the standard library (math.lgamma,
+math.gamma), so the package needs numpy and nothing else at run time.  A
+moment or Gamma value beyond the double range raises NumericalError naming
+the call; a NaN argument raises ParameterError.
+
 All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AccuracyError,
     DegenerateDistributionError,
     InputError,
+    NumericalError,
     ParameterError,
 )
 from .params import GreyParams
@@ -52,11 +58,30 @@ _MAX_TERMS = 512
 _QUADRATURE_POINTS = 64
 
 
+def _finite(f: Callable[..., float]) -> Callable[..., float]:
+    """f, raising NumericalError that names the call when its value leaves
+    the double range."""
+
+    @wraps(f)
+    def checked(*args: float, **kwargs: float) -> float:
+        try:
+            value = f(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            shown = [*map(repr, args), *(f"{k}={v!r}" for k, v in kwargs.items())]
+            raise NumericalError(f"{f.__name__}({', '.join(shown)}) overflows double precision")
+        return value
+
+    return checked
+
+
+@_finite
 def gamma(x: float) -> float:
     """Gamma function on the positive axis (double precision)."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ParameterError(f"gamma requires a positive argument, got {x}")
-    return math.exp(gammaln(x)) if x > 170.0 else float(math.gamma(x))
+    return math.gamma(x)
 
 
 @lru_cache(maxsize=8)
@@ -74,7 +99,7 @@ def _ml_series(beta: float, s: float):
     total = 0.0
     prev_mag = math.inf
     for n in range(_MAX_TERMS):
-        log_mag = n * log_s - gammaln(beta * n + 1.0)
+        log_mag = n * log_s - math.lgamma(beta * n + 1.0)
         mag = math.exp(log_mag)
         if mag > _SERIES_CANCEL_CAP:
             return None
@@ -154,6 +179,11 @@ def mittag_leffler(beta: float, s: float) -> float:
 _PDF_BLOCK = 128
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma of each entry of a 1-d array of positive values."""
+    return np.array([math.lgamma(v) for v in x.tolist()])
+
+
 @lru_cache(maxsize=8)
 def _mwright_coeffs(beta: float):
     """Beta-only parts of the M-Wright series, one entry per term n.
@@ -171,10 +201,15 @@ def _mwright_coeffs(beta: float):
     sin_a = np.where(np.round(a) % 2.0 == 0.0, 1.0, -1.0) * np.sin(np.pi * r)
     sin_a[r == 0.0] = 0.0
     log_pi = math.log(math.pi)
-    with np.errstate(divide="ignore"):
-        rg_log = np.where(a > 0.0, -gammaln(a), np.log(np.abs(sin_a)) + gammaln(1.0 - a) - log_pi)
-    sign = (-1.0) ** n * np.where(a > 0.0, 1.0, np.sign(sin_a))
-    coeffs = (n, gammaln(n + 1.0), gammaln(beta * (n + 1.0)) - log_pi, rg_log, sign)
+    # Each branch is evaluated only where it applies: lgamma raises at the
+    # poles a = 0, -1, ..., where the reciprocal Gamma vanishes.
+    right = a > 0.0
+    left = ~right & (sin_a != 0.0)
+    rg_log = np.full(_MAX_TERMS, -np.inf)
+    rg_log[right] = -_lgamma(a[right])
+    rg_log[left] = np.log(np.abs(sin_a[left])) + _lgamma(1.0 - a[left]) - log_pi
+    sign = (-1.0) ** n * np.where(right, 1.0, np.sign(sin_a))
+    coeffs = (n, _lgamma(n + 1.0), _lgamma(beta * (n + 1.0)) - log_pi, rg_log, sign)
     for c in coeffs:
         c.flags.writeable = False
     return coeffs
@@ -258,22 +293,33 @@ def mwright_pdf(beta: float, tau):
     return out.reshape(taus.shape)
 
 
-def mwright_moment(beta: float, delta: float) -> float:
-    """Moment of order delta > -1 of the M-Wright law: Gamma(delta+1)/Gamma(beta*delta+1)."""
+def _log_mwright_moment(beta: float, delta: float) -> float:
     if not (0.0 < beta <= 1.0):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
     if not (delta > -1.0):
         raise ParameterError(f"delta must exceed -1, got {delta}")
-    return math.exp(gammaln(delta + 1.0) - gammaln(beta * delta + 1.0))
+    return math.lgamma(delta + 1.0) - math.lgamma(beta * delta + 1.0)
 
 
-def normal_abs_moment(q: float) -> float:
-    """E|Z|^q for standard normal Z and q > -1: 2^(q/2) Gamma((q+1)/2) / sqrt(pi)."""
+def _log_normal_abs_moment(q: float) -> float:
     if not (q > -1.0):
         raise ParameterError(f"q must exceed -1, got {q}")
-    return math.exp(0.5 * q * math.log(2.0) + gammaln(0.5 * (q + 1.0)) - 0.5 * math.log(math.pi))
+    return 0.5 * q * math.log(2.0) + math.lgamma(0.5 * (q + 1.0)) - 0.5 * math.log(math.pi)
 
 
+@_finite
+def mwright_moment(beta: float, delta: float) -> float:
+    """Moment of order delta > -1 of the M-Wright law: Gamma(delta+1)/Gamma(beta*delta+1)."""
+    return math.exp(_log_mwright_moment(beta, delta))
+
+
+@_finite
+def normal_abs_moment(q: float) -> float:
+    """E|Z|^q for standard normal Z and q > -1: 2^(q/2) Gamma((q+1)/2) / sqrt(pi)."""
+    return math.exp(_log_normal_abs_moment(q))
+
+
+@_finite
 def ggbm_abs_moment(beta: float, p: float) -> float:
     """E|B(1)|^p for the grey Brownian family.
 
@@ -283,7 +329,7 @@ def ggbm_abs_moment(beta: float, p: float) -> float:
     """
     if not (p > 0.0):
         raise ParameterError(f"p must be positive, got {p}")
-    return mwright_moment(beta, 0.5 * p) * normal_abs_moment(p)
+    return math.exp(_log_mwright_moment(beta, 0.5 * p) + _log_normal_abs_moment(p))
 
 
 def theoretical_variation_limit(params: GreyParams) -> float:

@@ -10,13 +10,12 @@ special_identity_report checks the special functions deterministically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-
-from scipy.special import erfc
 
 from .errors import InputError, ParameterError
 from .params import GreyParams
@@ -33,6 +32,7 @@ __all__ = [
     "check_even_moments",
     "MixingRow",
     "check_mixing_decay",
+    "check_settings",
     "mwright_tail_cutoff",
     "gauss_legendre_integral",
     "special_identity_report",
@@ -175,6 +175,20 @@ class MomentRow:
     z: float
 
 
+def _moment_plan(t: float, orders: Sequence[int]) -> Tuple[DyadicGrid, int, List[int]]:
+    """Grid and index of t for check_even_moments, and the orders it samples:
+    each requested even order and the odd order below it."""
+    if not orders:
+        raise ParameterError("orders must hold at least one moment order")
+    for order in orders:
+        if order <= 0 or order % 2 != 0 or order > 4:
+            raise ParameterError("orders must be even, positive, and at most 4")
+    if not (0.0 < t <= 1.0):
+        raise ParameterError("t must lie in (0, 1]")
+    grid, (i_t,) = _dyadic_points([t])
+    return grid, i_t, sorted({o for order in orders for o in (order - 1, order)})
+
+
 def even_moment_formula(params: GreyParams, order: int, t: float) -> float:
     """E x(t)^(2n) = (2n)! / (2^n Gamma(beta n + 1)) t^(n alpha)."""
     n = order // 2
@@ -194,15 +208,7 @@ def check_even_moments(
 ) -> CheckReport:
     """Sample moments of x(t) against the closed form; each even order is
     paired with the preceding odd order, which must vanish."""
-    if not orders:
-        raise ParameterError("orders must hold at least one moment order")
-    for order in orders:
-        if order <= 0 or order % 2 != 0 or order > 4:
-            raise ParameterError("orders must be even, positive, and at most 4")
-    if not (0.0 < t <= 1.0):
-        raise ParameterError("t must lie in (0, 1]")
-    grid, (i_t,) = _dyadic_points([t])
-    all_orders = sorted({o for order in orders for o in (order - 1, order)})
+    grid, i_t, all_orders = _moment_plan(t, orders)
     mean, se = _means(
         params, grid, n_paths, rng, lambda batch: np.array([batch[i_t] ** o for o in all_orders])
     )
@@ -254,7 +260,7 @@ def special_identity_report() -> dict:
     err = max(abs(mittag_leffler(1.0, float(s)) - math.exp(-float(s))) for s in s_grid)
     rows.append({"name": "E_1(-s) = exp(-s), s in [0,50]", "error": float(err), "tol": 1e-12})
 
-    ref = math.e * float(erfc(1.0))
+    ref = math.e * math.erfc(1.0)
     err = abs(mittag_leffler(0.5, 1.0) - ref)
     rows.append({"name": "E_1/2(-1) = e erfc(1)", "error": float(err), "tol": 1e-8})
 
@@ -294,6 +300,31 @@ class MixingRow:
     z: float
 
 
+def _mixing_plan(lags: Sequence[int]) -> Tuple[List[int], DyadicGrid]:
+    """The distinct lags check_mixing_decay measures, in order, and the
+    coarsest dyadic grid with one increment per unit lag."""
+    for lag in lags:
+        if isinstance(lag, bool) or not isinstance(lag, numbers.Integral):
+            raise InputError(f"lag {lag!r} is not an integer")
+    lags = sorted(set(int(l) for l in lags))
+    if not lags or lags[0] < 1:
+        raise InputError("lags must be positive integers")
+    if lags[-1] > 128:
+        raise InputError("lags are capped at 128")
+    return lags, DyadicGrid(max(1, math.ceil(math.log2(lags[-1]))))
+
+
+def check_settings(
+    cf: CfCheckSpec, moment_t: float, orders: Sequence[int], lags: Sequence[int]
+) -> None:
+    """Raise the error that check_increment_cf with cf, check_even_moments
+    with (moment_t, orders) or check_mixing_decay with lags would raise for
+    its settings, without drawing a path."""
+    _dyadic_points([cf.s, cf.t])
+    _moment_plan(moment_t, orders)
+    _mixing_plan(lags)
+
+
 def check_mixing_decay(
     params: GreyParams,
     lags: Sequence[int],
@@ -308,13 +339,8 @@ def check_mixing_decay(
     so lag j pairs f(increment 1) with f(increment j).  Lag 1 is the
     variance baseline; the decay criterion applies to the largest lag only.
     """
-    lags = sorted(set(int(l) for l in lags))
-    if not lags or lags[0] < 1:
-        raise InputError("lags must be positive integers")
-    if lags[-1] > 128:
-        raise InputError("lags are capped at 128")
-    level = max(1, math.ceil(math.log2(lags[-1])))
-    grid = DyadicGrid(level)
+    lags, grid = _mixing_plan(lags)
+    level = grid.level
     scale = float(grid.n_increments) ** (params.alpha / 2.0)
 
     def stats(batch):

@@ -21,7 +21,7 @@ from greyvar.cli import (
     main,
     run_config,
 )
-from greyvar.errors import InputError, NumericalError
+from greyvar.errors import InputError, NumericalError, ParameterError
 from greyvar.inference import (
     BetaRegion,
     Candidate,
@@ -30,7 +30,7 @@ from greyvar.inference import (
     estimate_beta,
 )
 from greyvar.params import GreyParams
-from greyvar.sampling import DyadicGrid, SamplePath, UniformGrid, sample_ggbm
+from greyvar.sampling import DyadicGrid, SamplePath, UniformGrid, sample_ggbm, sample_ggbm_batch
 from greyvar.serialize import (
     atomic_write_bytes,
     dump_report,
@@ -770,3 +770,32 @@ class TestCsvTables:
         ]
         text = table_csv(("f", "b", "i", "none", "s"), rows)
         assert text == "f,b,i,none,s\n0.1,True,3,,x\n1e-300,False,7,,\n"
+
+
+class TestValidateChecksSettingsFirst:
+    """Every setting of every check is checked before any check runs."""
+
+    @pytest.mark.parametrize(
+        ("key", "value", "error", "match"),
+        [
+            ("moment_orders", [3], ParameterError, "orders"),
+            ("moment_t", 2.0, ParameterError, "t must lie"),
+            ("moment_t", 0.3, InputError, "dyadic"),
+            ("lags", [256], InputError, "capped"),
+            ("lags", [0], InputError, "positive"),
+            ("s", 0.3, InputError, "dyadic"),
+        ],
+    )
+    def test_no_path_drawn_before_error(self, key, value, error, match, monkeypatch):
+        drawn = []
+
+        def spy(params, grid, rng, n_paths):
+            drawn.append(n_paths)
+            return sample_ggbm_batch(params, grid, rng, n_paths)
+
+        monkeypatch.setattr("greyvar.validation.sample_ggbm_batch", spy)
+        monkeypatch.setattr("greyvar.cli.special_identity_report", _forbidden)
+        cfg = {"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1, key: value}
+        with pytest.raises(error, match=match):
+            run_config("validate", cfg)
+        assert sum(drawn) == 0

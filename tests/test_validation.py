@@ -223,3 +223,16 @@ class TestSpecialIdentityReport:
         assert len(names) == 3
         for row in report["rows"]:
             assert row["error"] <= row["tol"]
+
+
+class TestLagsAreIntegers:
+    @pytest.mark.parametrize("lags", [[1.5, 4], [1, 2.0], [True, 4]])
+    def test_non_integer_lag_rejected(self, lags, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
+        with pytest.raises(InputError, match="not an integer"):
+            check_mixing_decay(GreyParams(1.0, 1.0), lags, 10_000, rng)
+
+    def test_numpy_integer_lags_accepted(self, rng):
+        report = check_mixing_decay(GreyParams(1.0, 1.0), np.array([1, 4]), 10_000, rng)
+        assert [r.lag for r in report.rows] == [1, 4]
+        assert all(type(r.lag) is int for r in report.rows)
