@@ -11,7 +11,6 @@ reproducible experiment harness.
 __version__ = "0.1.0"
 
 from .errors import (
-    AccuracyError,
     CapacityError,
     DegenerateDistributionError,
     EstimationError,

@@ -28,6 +28,8 @@ from .inference import (
     BetaRegion,
     Candidate,
     Label,
+    _check_discrimination,
+    _check_level_range,
     discriminate,
     distinguishability_check,
     estimate_alpha,
@@ -56,7 +58,7 @@ from .validation import (
     check_settings,
     special_identity_report,
 )
-from .variation import variation_sequence, variation_trichotomy
+from .variation import _check_exponent, _check_levels, variation_sequence, variation_trichotomy
 
 __all__ = ["main", "run_config", "load_preset", "PRESET_NAMES"]
 
@@ -240,7 +242,10 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     n_paths = _n_paths(cfg, 1)
     p_values = _field(cfg, "p_values", [float])
     lo, hi = _field(cfg, "levels", (int, int), required=False, default=(max(1, level - 8), level))
-    levels = list(range(lo, hi + 1))
+    if lo > hi:
+        raise ConfigError(f"config field 'levels' must be [low, high], got {[lo, hi]}")
+    levels = _check_levels(range(lo, hi + 1), level)
+    labels = [variation_trichotomy(alpha, beta, p) for p in p_values]
     base = _seed_spec(cfg)
 
     def one(i: int):
@@ -250,9 +255,8 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     rows = _pmap(one, range(n_paths), threads)
 
     table = []
-    for p in p_values:
+    for p, label in zip(p_values, labels):
         values = np.array([row[p] for row in rows])  # (n_paths, n_levels)
-        label = variation_trichotomy(alpha, beta, p)
         table.append(
             {
                 "p": p,
@@ -264,10 +268,9 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
                 "sd": [float(v) for v in values.std(axis=0)],
             }
         )
-    p_crit = 2.0 / alpha
     results = {
         "table": table,
-        "critical_p": p_crit,
+        "critical_p": 2.0 / alpha,
         "mu": theoretical_variation_limit(params),
         "n_paths": n_paths,
     }
@@ -287,6 +290,8 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
     n_paths = _n_paths(cfg, 100)
     p = _field(cfg, "p", float, required=False, default=1.0)
     fit_levels = _field(cfg, "fit_levels", (int, int), required=False, default=(8, level))
+    _check_exponent(p)
+    _check_level_range(fit_levels, level)
     region_name = _field(cfg, "beta_region", str, required=False, default="auto")
     if region_name == "auto":
         region = region_for(params)
@@ -351,6 +356,7 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
     n_paths = _n_paths(cfg, 100)
     threshold = _field(cfg, "threshold", float, required=False, default=0.5)
     record_decisions = _field(cfg, "record_decisions", bool, required=False, default=False)
+    _check_discrimination(level, threshold)
     base = _seed_spec(cfg)
 
     pairs = []
@@ -378,11 +384,7 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
 
             decisions = _pmap(one, range(n_paths), threads)
             labels = [d.label for d in decisions]
-            counts = {
-                "first": sum(1 for l in labels if l is Label.FIRST),
-                "second": sum(1 for l in labels if l is Label.SECOND),
-                "inconclusive": sum(1 for l in labels if l is Label.INCONCLUSIVE),
-            }
+            counts = {label.value: labels.count(label) for label in Label}
             correct = counts["first"] if truth == j else counts["second"]
             entry = {
                 "pair": [j, k],

@@ -34,10 +34,6 @@ class NumericalError(GreyVarError):
     """A numerical procedure failed (factorization, embedding, ...)."""
 
 
-class AccuracyError(NumericalError):
-    """A series or quadrature could not reach the requested accuracy."""
-
-
 class EstimationError(GreyVarError):
     """An estimator cannot be evaluated on the given data."""
 

@@ -37,7 +37,7 @@ from .errors import (
 from .params import GreyParams
 from .sampling import SamplePath
 from .special import GAMMA_ARGMIN, GAMMA_MIN, gamma, normal_abs_moment, theoretical_variation_limit
-from .variation import p_variation_sum, variation_sequence
+from .variation import _check_levels, p_variation_sum, variation_sequence
 
 __all__ = [
     "Candidate",
@@ -132,6 +132,18 @@ class AlphaEstimate:
     boundary: bool
 
 
+def _check_level_range(level_range: Tuple[int, int], top: int) -> Tuple[int, int]:
+    """level_range, or the InputError estimate_alpha raises for it on a
+    level-top path."""
+    n_lo, n_hi = level_range
+    if n_hi > top:
+        raise InputError(f"level range top {n_hi} exceeds path level {top}")
+    if n_hi - n_lo < 3:
+        raise InputError("level range must span at least 3 octaves")
+    _check_levels([n_lo], top)
+    return n_lo, n_hi
+
+
 def estimate_alpha(
     path: SamplePath, p: float, level_range: Tuple[int, int]
 ) -> AlphaEstimate:
@@ -142,12 +154,7 @@ def estimate_alpha(
     level equally and cancels from the slope.  Estimates outside (0, 2)
     are flagged, not clamped.
     """
-    n_lo, n_hi = level_range
-    top = path.dyadic_level
-    if n_hi > top:
-        raise InputError(f"level range top {n_hi} exceeds path level {top}")
-    if n_hi - n_lo < 3:
-        raise InputError("level range must span at least 3 octaves")
+    n_lo, n_hi = _check_level_range(level_range, path.dyadic_level)
     levels = np.arange(n_lo, n_hi + 1)
     records = variation_sequence(path, p, levels)
     values = np.array([r.value for r in records])
@@ -322,6 +329,14 @@ class Decision:
         }
 
 
+def _check_discrimination(top: int, threshold: float) -> None:
+    """Raise the error discriminate raises for a level-top path and threshold."""
+    if top < 8:
+        raise PreconditionError("discrimination needs a dyadic path of level >= 8")
+    if not threshold > 0.0:
+        raise ParameterError(f"threshold must be positive, got {threshold}")
+
+
 def discriminate(
     path: SamplePath,
     c1: Candidate,
@@ -351,10 +366,7 @@ def discriminate(
     if not check:
         raise PreconditionError(f"candidates not distinguishable: {check.reason}")
     top = path.dyadic_level
-    if top < 8:
-        raise PreconditionError("discrimination needs a dyadic path of level >= 8")
-    if not threshold > 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
+    _check_discrimination(top, threshold)
 
     v1 = p_variation_sum(path, c1.p_crit).value
     v2 = p_variation_sum(path, c2.p_crit).value

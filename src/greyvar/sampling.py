@@ -411,6 +411,18 @@ def sample_fbm_circulant_batch(
     return _fbm_batch(GreyParams.fbm(hurst).hurst, 1.0, DyadicGrid(level), rng, n_paths)
 
 
+def _kanter_log_y(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unclipped log Y = (1-beta) (log W - log a(U)), 0 < beta < 1; with w = 1,
+    the -(1-beta) log a(u) over which the M-Wright density integrates."""
+    b1 = 1.0 - beta
+    return (
+        b1 * np.log(w)
+        - b1 * np.log(np.sin(b1 * u))
+        - beta * np.log(np.sin(beta * u))
+        + np.log(np.sin(u))
+    )
+
+
 def _mwright_log_kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """M-Wright draws Y = S^-beta from Kanter's U (uniform on (0, pi)) and
     W (unit exponential), 0 < beta < 1.
@@ -421,14 +433,7 @@ def _mwright_log_kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray
     """
     u = np.clip(u, 1e-300, math.pi * (1.0 - 1e-16))
     w = np.maximum(w, np.finfo(float).tiny)
-    b1 = 1.0 - beta
-    log_y = (
-        b1 * np.log(w)
-        - b1 * np.log(np.sin(b1 * u))
-        - beta * np.log(np.sin(beta * u))
-        + np.log(np.sin(u))
-    )
-    return np.exp(log_y)
+    return np.exp(_kanter_log_y(beta, u, w))
 
 
 def _kanter_draws(beta: float, gen: np.random.Generator, size: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import tempfile
+import zipfile
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -93,38 +94,47 @@ def path_to_csv(path: SamplePath) -> str:
     return comment + table_csv(("t", "value"), zip(path.grid.times().tolist(), path.values.tolist()))
 
 
+def _header_value(meta: dict, key: str, kind: type):
+    """The header field key, parsed by kind (int or float)."""
+    try:
+        return kind(meta[key])
+    except (KeyError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"header field {key}= must be {what}, got {meta.get(key)!r}") from None
+
+
+def _grid_from_header(meta: dict) -> Grid:
+    """The grid that _grid_header wrote meta for."""
+    if meta.get("grid") == "dyadic":
+        return DyadicGrid(_header_value(meta, "level", int))
+    if meta.get("grid") == "uniform":
+        return UniformGrid(_header_value(meta, "n", int))
+    raise InputError(f"header grid= must be 'dyadic' or 'uniform', got {meta.get('grid')!r}")
+
+
 def path_from_csv(text: str) -> SamplePath:
+    """The path written by path_to_csv; InputError names the line (1-based)
+    or the header field that does not parse."""
     meta: Dict[str, str] = {}
     values: List[float] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("#"):
-            for token in line[1:].split():
-                if "=" in token:
-                    k, v = token.split("=", 1)
-                    meta[k] = v
-            continue
-        if line.startswith("t,"):
-            continue
-        _, value = line.split(",")
-        values.append(float(value))
-    if "grid" not in meta:
-        raise InputError("path CSV missing grid header")
-    grid: Grid
-    if meta["grid"] == "dyadic":
-        grid = DyadicGrid(int(meta["level"]))
-    elif meta["grid"] == "uniform":
-        grid = UniformGrid(int(meta["n"]))
-    else:
-        raise InputError(f"unknown grid type {meta['grid']!r}")
+            meta.update(token.split("=", 1) for token in line[1:].split() if "=" in token)
+        elif line and not line.startswith("t,"):
+            try:
+                _, value = line.split(",")
+                values.append(float(value))
+            except ValueError:
+                raise InputError(f"path CSV line {number} is not 't,value': {line!r}") from None
+    grid = _grid_from_header(meta)
     params = None
     if "alpha" in meta and "beta" in meta:
-        params = GreyParams(float(meta["alpha"]), float(meta["beta"]))
+        params = GreyParams(_header_value(meta, "alpha", float), _header_value(meta, "beta", float))
     seed = None
     if "master_seed" in meta:
-        seed = RngSpec(int(meta["master_seed"]), int(meta.get("stream_id", "0")))
+        stream_id = _header_value(meta, "stream_id", int) if "stream_id" in meta else 0
+        seed = RngSpec(_header_value(meta, "master_seed", int), stream_id)
     return SamplePath(grid=grid, values=np.array(values), params=params, seed=seed)
 
 
@@ -162,13 +172,14 @@ def save_bundle(path: str, paths: Sequence[SamplePath], config: Optional[dict] =
 
 
 def load_bundle(path: str):
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"].tobytes()).decode())
-        values = data["values"]
-    gh = header["grid"]
-    grid: Grid = (
-        DyadicGrid(int(gh["level"])) if gh["grid"] == "dyadic" else UniformGrid(int(gh["n"]))
-    )
+    """Paths and header of a save_bundle file; InputError names any other file."""
+    try:
+        with np.load(path) as data:
+            header = json.loads(bytes(data["header"].tobytes()).decode())
+            values = data["values"]
+        grid = _grid_from_header(header["grid"])
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputError(f"{path!r} is not a greyvar bundle ({type(exc).__name__}: {exc})") from None
     params = None
     if header.get("params"):
         params = GreyParams(header["params"]["alpha"], header["params"]["beta"])

@@ -21,13 +21,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    AccuracyError,
     DegenerateDistributionError,
     InputError,
     NumericalError,
     ParameterError,
 )
 from .params import GreyParams
+from .sampling import _kanter_log_y
 
 __all__ = [
     "GAMMA_ARGMIN",
@@ -49,10 +49,7 @@ GAMMA_MIN = 0.8856031944108887
 # evaluation switches to the spectral integral instead.
 _SERIES_CANCEL_CAP = 1e2
 
-# Fixed accuracy settings.  _MAX_TERMS covers the full tau-range of the M-Wright
-# density down to tail values ~1e-10 for beta <= 0.75 (the series needs
-# ~300 terms near that edge); beyond it the density raises AccuracyError
-# rather than truncating.
+# Fixed accuracy settings of the Mittag-Leffler series and spectral integral.
 _SERIES_TOL = 1e-15
 _MAX_TERMS = 512
 _QUADRATURE_POINTS = 64
@@ -87,6 +84,15 @@ def gamma(x: float) -> float:
 @lru_cache(maxsize=8)
 def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
+
+
+def _gauss_panels(edges: np.ndarray, order: int):
+    """Nodes and weights of the composite order-point Gauss-Legendre rule
+    on the panels between consecutive edges, panel by panel."""
+    nodes, weights = _leggauss(order)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (hi + lo) + half * nodes).ravel(), (half * weights).ravel()
 
 
 def _ml_series(beta: float, s: float):
@@ -138,14 +144,7 @@ def _ml_spectral(beta: float, s: float) -> float:
             if 0.0 < e < upper:
                 edges.add(e)
         edges.add(peak)
-    grid = np.array(sorted(edges))
-
-    nodes, weights = _leggauss(_QUADRATURE_POINTS)
-    lo = grid[:-1][:, None]
-    hi = grid[1:][:, None]
-    half = 0.5 * (hi - lo)
-    u = 0.5 * (hi + lo) + half * nodes[None, :]
-    w = half * weights[None, :]
+    u, w = _gauss_panels(np.array(sorted(edges)), _QUADRATURE_POINTS)
     vals = np.exp(-((s * u) ** (1.0 / beta))) / ((u + c) ** 2 + sg * sg)
     return front * float(np.sum(vals * w))
 
@@ -174,123 +173,97 @@ def mittag_leffler(beta: float, s: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-# Taus per block of the vectorised M-Wright series: a block holds
-# _PDF_BLOCK * _MAX_TERMS doubles per temporary, so memory stays bounded.
-_PDF_BLOCK = 128
-
-
-def _lgamma(x: np.ndarray) -> np.ndarray:
-    """math.lgamma of each entry of a 1-d array of positive values."""
-    return np.array([math.lgamma(v) for v in x.tolist()])
+# M_beta: _MW_TERMS Taylor terms below _MW_TAU0, Kanter's integral on _MW_ORDER-point
+# panels above, _MW_BUDGET (tau, node) pairs at a time; 28,000 nodes at _MW_BETA_MAX.
+_MW_TAU0, _MW_TERMS, _MW_ORDER = 1e-2, 8, 24
+_MW_BUDGET, _MW_BETA_MAX = 128 * 512, 0.999
 
 
 @lru_cache(maxsize=8)
-def _mwright_coeffs(beta: float):
-    """Beta-only parts of the M-Wright series, one entry per term n.
-
-    Returns (n, log n!, envelope offset log Gamma(beta(n+1)) - log pi,
-    reciprocal-Gamma log-magnitude, sign of the signed term).  The
-    reciprocal Gamma at negative arguments comes from the reflection
-    formula in log space; where 1 - beta(n+1) is a nonpositive integer it
-    vanishes, and its log-magnitude is -inf.
+def _mwright_plan(beta: float):
+    """c = 1/(1-beta), nodes s = log A(u) and u-space weights for Kanter's
+    M_beta(tau) = c/(pi tau) int_0^pi x A exp(-x A) du, x = tau^c, the first
+    n_u on u panels, and M_beta's Taylor coefficients, highest order first.
+    log A rises from log A(0+) to infinity at pi.  Below log A(0+) + 1 it is
+    flat: u panels, refined toward 0 (the far tail's peak) and toward pi.
+    Above, panels of width 4 in s up to 5 - c log(_MW_TAU0) hold the peak
+    of x A exp(-x A) for every tau >= _MW_TAU0; u comes from bisecting
+    log A, and the weights are divided by d log A/du.
     """
-    n = np.arange(_MAX_TERMS, dtype=float)
-    a = 1.0 - beta * (n + 1.0)
-    # sin(pi a) with exact argument reduction (exact zeros at integers).
-    r = a - np.round(a)
-    sin_a = np.where(np.round(a) % 2.0 == 0.0, 1.0, -1.0) * np.sin(np.pi * r)
-    sin_a[r == 0.0] = 0.0
-    log_pi = math.log(math.pi)
-    # Each branch is evaluated only where it applies: lgamma raises at the
-    # poles a = 0, -1, ..., where the reciprocal Gamma vanishes.
-    right = a > 0.0
-    left = ~right & (sin_a != 0.0)
-    rg_log = np.full(_MAX_TERMS, -np.inf)
-    rg_log[right] = -_lgamma(a[right])
-    rg_log[left] = np.log(np.abs(sin_a[left])) + _lgamma(1.0 - a[left]) - log_pi
-    sign = (-1.0) ** n * np.where(right, 1.0, np.sign(sin_a))
-    coeffs = (n, _lgamma(n + 1.0), _lgamma(beta * (n + 1.0)) - log_pi, rg_log, sign)
-    for c in coeffs:
-        c.flags.writeable = False
-    return coeffs
+    b1 = 1.0 - beta
+    c = 1.0 / b1
 
+    def log_a(u):
+        return -_kanter_log_y(beta, u, 1.0) / b1
 
-def _mwright_block(beta: float, taus: np.ndarray) -> np.ndarray:
-    """The M-Wright series on a block of positive taus, one row of terms per tau."""
-    n, log_fact, env_off, rg_log, sign = _mwright_coeffs(beta)
-    base = np.log(taus)[:, None] * n - log_fact
-    env_log = base + env_off
-    with np.errstate(over="ignore"):
-        env = np.exp(env_log)
-    # Each row stops at its first term n > 0 whose envelope is below the
-    # tolerance and not rising.
-    stop = np.zeros(env.shape, dtype=bool)
-    stop[:, 1:] = (env[:, 1:] < _SERIES_TOL) & (env[:, 1:] <= env[:, :-1])
-    converged = stop.any(axis=1)
-    last = np.where(converged, stop.argmax(axis=1), _MAX_TERMS - 1)
-    over = env_log > 700.0
-    overflow = over.any(axis=1) & (over.argmax(axis=1) <= last)
-    failed = overflow | ~converged
-    if failed.any():
-        i = int(np.argmax(failed))
-        reason = (
-            "terms overflow double precision"
-            if overflow[i]
-            else f"did not converge within {_MAX_TERMS} terms"
-        )
-        raise AccuracyError(f"M-Wright series {reason} (beta={beta}, tau={taus[i]})")
-    cols = int(last.max()) + 1
-    with np.errstate(over="ignore"):
-        mag = np.exp(base[:, :cols] + rg_log[:cols])
-    mag[np.arange(cols)[None, :] > last[:, None]] = 0.0
-    # cumsum adds the terms in order; np.sum would add them pairwise.
-    total = np.cumsum(mag * sign[:cols], axis=1)[:, -1]
-    # Below the cancellation noise floor (measured at ~100 eps relative per
-    # term, accumulated over the alternating sum) the result carries no
-    # significance; the true density is nonnegative and superexponentially
-    # small there, so report exactly zero.
-    total[np.abs(total) <= 1e-12 * mag.max(axis=1)] = 0.0
-    if np.any(total < 0.0):
-        i = int(np.argmax(total < 0.0))
-        raise AccuracyError(
-            f"M-Wright series lost all significance (beta={beta}, tau={taus[i]}, "
-            f"value={total[i]})"
-        )
-    return total
+    def u_at(s):
+        lo, hi = np.zeros_like(s), np.full_like(s, math.pi)
+        for _ in range(64):  # below the float spacing of u
+            mid = 0.5 * (lo + hi)
+            below = log_a(mid) < s
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    s_flat = math.log(b1) + beta * c * math.log(beta) + 1.0
+    u1 = float(u_at(np.array([s_flat]))[0])
+    gap = math.pi - u1
+    toward_pi = math.pi - gap * 2.0 ** np.arange(1.0, math.log2((math.pi - 0.5 * u1) / gap))
+    u, u_w = _gauss_panels(np.unique([0.0, *u1 * 2.0 ** -np.arange(9.0), *toward_pi]), _MW_ORDER)
+    s, s_w = _gauss_panels(np.arange(s_flat, 9.0 - c * math.log(_MW_TAU0), 4.0), _MW_ORDER)
+    us = u_at(s)
+    slope = b1 / np.tan(b1 * us) + beta * beta * c / np.tan(beta * us) - c / np.tan(us)
+    # (-1)^n / (n! Gamma(1 - beta(n+1))); 1/Gamma vanishes at its poles.
+    taylor = []
+    for n in range(_MW_TERMS - 1, -1, -1):
+        x = 1.0 - beta * (n + 1)
+        pole = x <= 0.0 and x == math.floor(x)
+        taylor.append(0.0 if pole else (-1.0) ** n / (math.factorial(n) * math.gamma(x)))
+    nodes, weights = np.concatenate([log_a(u), s]), np.concatenate([u_w, s_w / slope])
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every caller
+    return c, nodes, weights, len(u), tuple(taylor)
 
 
 def mwright_pdf(beta: float, tau):
-    """M-Wright density M_beta(tau) on tau >= 0 for beta in (0, 1).
+    """M-Wright density M_beta(tau) on tau >= 0 for beta in (0, 0.999].
 
     tau may be a scalar, which gives a float, or an array, which gives an
-    array of the same shape.  Summed as
-    sum_n (-tau)^n / (n! Gamma(1 - beta(n+1))) with the reciprocal Gamma at
-    negative arguments obtained from the reflection formula in log space;
-    the beta-only parts of every term are computed once per beta.
-    Convergence is judged per tau on the envelope
-    tau^n Gamma(beta(n+1)) / (pi n!), which bounds every term and is not
-    deflated by the reflection zeros.  beta = 1 is the point mass at
-    tau = 1 and is rejected; samplers special-case it.
+    array of the same shape.  Kanter's integral (Kanter 1975) over the
+    M-Wright sampler's own log A(u), on fixed nodes placed on its peak, and
+    eight Taylor terms below tau = 1e-2.  The integrand is positive, so
+    nothing cancels: down to the double underflow, where values become 0,
+    they are within 1e-12 relative, or within eps times the condition
+    number c tau^c A(0+) where that is larger (the far tail as beta nears
+    1).  beta = 1, the point mass at 1, is rejected; samplers special-case it.
     """
     if beta == 1.0:
-        raise DegenerateDistributionError(
-            "M_1 is the point mass at tau = 1; no density to evaluate"
-        )
-    if not (0.0 < beta < 1.0):
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+        raise DegenerateDistributionError("M_1 is the point mass at tau = 1: it has no density")
+    if not (0.0 < beta <= _MW_BETA_MAX):
+        raise ParameterError(f"beta must lie in (0, {_MW_BETA_MAX}] for the density, got {beta}")
     taus = np.asarray(tau, dtype=float)
     bad = ~np.isfinite(taus) | (taus < 0.0)
     if bad.any():
         raise InputError(f"tau must be finite and nonnegative, got {taus[bad][0]}")
+    c, nodes, weights, n_u, taylor = _mwright_plan(beta)
     flat = taus.ravel()
-    out = np.full(flat.shape, 1.0 / gamma(1.0 - beta))
-    positive = np.flatnonzero(flat > 0.0)
-    for start in range(0, len(positive), _PDF_BLOCK):
-        idx = positive[start:start + _PDF_BLOCK]
-        out[idx] = _mwright_block(beta, flat[idx])
-    if taus.ndim == 0:
-        return float(out[0])
-    return out.reshape(taus.shape)
+    out = np.empty(flat.shape)
+    near = flat < _MW_TAU0
+    out[near] = np.polyval(taylor, flat[near])
+    # Ascending, so each block's first tau keeps the most nodes.
+    far = np.flatnonzero(~near)[np.argsort(flat[~near], kind="stable")]
+    rows = max(1, _MW_BUDGET // len(nodes))
+    for start in range(0, len(far), rows):
+        idx = far[start:start + rows]
+        t = flat[idx, None]
+        z = nodes + c * np.log(t)  # log x A
+        # s nodes with z > 6 add less than exp(-e^6) each.
+        keep = n_u + int(np.searchsorted(z[0, n_u:], 6.0, side="right"))
+        with np.errstate(over="ignore"):
+            xa = np.exp(z[:, :keep])
+            # The far tail lives on the u panels, where exp(-x A) would
+            # magnify the rounding of c log tau: x A is a product there.
+            xa[:, :n_u] = t ** c * np.exp(nodes[:n_u])
+            out[idx] = c / (math.pi * t[:, 0]) * (np.exp(z[:, :keep] - xa) @ weights[:keep])
+    return float(out[0]) if taus.ndim == 0 else out.reshape(taus.shape)
 
 
 def _log_mwright_moment(beta: float, delta: float) -> float:

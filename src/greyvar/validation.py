@@ -20,8 +20,8 @@ import numpy as np
 from .errors import InputError, ParameterError
 from .params import GreyParams
 from .sampling import DyadicGrid, RngSpec, sample_ggbm_batch
+from .special import _gauss_panels, mittag_leffler, mwright_pdf
 from .special import gamma as _gamma
-from .special import mittag_leffler, mwright_pdf
 
 __all__ = [
     "CheckReport",
@@ -237,12 +237,7 @@ def gauss_legendre_integral(
     integrands over the same nodes.  Returns a float, or an array with one
     integral per column.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes).ravel()
-    w = (half[:, None] * weights).ravel()
+    x, w = _gauss_panels(np.linspace(a, b, panels + 1), order)
     total = np.tensordot(w, np.asarray(f(x), dtype=float), axes=1)
     return float(total) if total.ndim == 0 else total
 

@@ -51,6 +51,18 @@ def _check_exponent(p: float) -> None:
         raise ParameterError(f"p must be finite and positive, got {p}")
 
 
+def _check_levels(levels: Iterable[int], top: int) -> List[int]:
+    """levels as a list, or the InputError variation_sequence raises for
+    them on a level-top path."""
+    levels = list(levels)
+    for level in levels:
+        if isinstance(level, bool) or not isinstance(level, numbers.Integral):
+            raise InputError(f"level {level!r} is not an integer")
+        if not (0 <= level <= top):
+            raise InputError(f"level {level} outside [0, {top}]")
+    return levels
+
+
 @dataclass(frozen=True)
 class VariationRecord:
     """One variation sum: grid resolution, exponent, and value."""
@@ -164,15 +176,8 @@ def variation_sequence(
     Coarsening subsamples every 2^(N-n)-th point of the level-N path, so
     the records live on the nested dyadic partitions of a single path.
     """
-    top = path.dyadic_level
-    records = []
-    for level in levels:
-        if isinstance(level, bool) or not isinstance(level, numbers.Integral):
-            raise InputError(f"level {level!r} is not an integer")
-        if not (0 <= level <= top):
-            raise InputError(f"level {level} outside [0, {top}]")
-        records.append(VariationRecord(level_or_n=level, p=p, value=_level_sum(path, level, p)))
-    return records
+    levels = _check_levels(levels, path.dyadic_level)
+    return [VariationRecord(level, p, _level_sum(path, level, p)) for level in levels]
 
 
 def hoelder_dominance_bound(

@@ -21,7 +21,7 @@ from greyvar.cli import (
     main,
     run_config,
 )
-from greyvar.errors import InputError, NumericalError, ParameterError
+from greyvar.errors import InputError, NumericalError, ParameterError, PreconditionError
 from greyvar.inference import (
     BetaRegion,
     Candidate,
@@ -142,6 +142,47 @@ class TestSerialization:
         )
         atomic_write_bytes(out, buf.getvalue())
         with pytest.raises(InputError, match="bad.npz"):
+            load_bundle(out)
+
+    @pytest.mark.parametrize(
+        ("edit", "match"),
+        [
+            (lambda t: t.replace("\n0.125,", "\n0.125,1.0,"), "line 4"),
+            (lambda t: t.replace("\n0.25,", "\n0.25,x"), "line 5"),
+            (lambda t: t.replace(" level=3", ""), "level= must be an integer, got None"),
+            (lambda t: t.replace("grid=dyadic", "grid=sparse"), "grid= must be 'dyadic' or 'uniform'"),
+            (lambda t: t.replace("level=3", "level=x"), "level= must be an integer, got 'x'"),
+            (lambda t: t.replace("alpha=1.2", "alpha=?"), "alpha= must be a number, got '\\?'"),
+        ],
+        ids=["three-columns", "non-float", "no-level", "grid-unknown", "level-not-int", "alpha-not-float"],
+    )
+    def test_malformed_path_csv_names_line_or_field(self, edit, match, rng):
+        text = path_to_csv(sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(3), rng))
+        with pytest.raises(InputError, match=match):
+            path_from_csv(edit(text))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"t,value\n0.0,0.0\n", b"", b"PK\x03\x04 truncated"],
+        ids=["text", "empty", "broken-zip"],
+    )
+    def test_non_bundle_file_names_file(self, content, tmp_path):
+        out = tmp_path / "notes.npz"
+        out.write_bytes(content)
+        with pytest.raises(InputError, match="notes.npz"):
+            load_bundle(str(out))
+
+    @pytest.mark.parametrize(
+        "header", [None, {"n_paths": 2}, {"grid": {"grid": "dyadic", "level": "x"}}],
+        ids=["no-header", "no-grid", "level-not-int"],
+    )
+    def test_bundle_without_usable_header_names_file(self, header, tmp_path):
+        out = str(tmp_path / "bare.npz")
+        members = {"values": np.zeros((9, 2))}
+        if header is not None:
+            members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(out, **members)
+        with pytest.raises(InputError, match="bare.npz"):
             load_bundle(out)
 
     def test_strided_column_gives_equal_statistics(self, rng):
@@ -799,3 +840,50 @@ class TestValidateChecksSettingsFirst:
         with pytest.raises(error, match=match):
             run_config("validate", cfg)
         assert sum(drawn) == 0
+
+
+class TestCommandsCheckSettingsFirst:
+    """variation, estimate and discriminate reject a malformed setting
+    before any path is drawn, with the error the library would raise."""
+
+    @pytest.mark.parametrize(
+        ("command", "cfg", "error", "match"),
+        [
+            ("variation", {"levels": [5, 20]}, InputError, "outside"),
+            ("variation", {"levels": [8, 5]}, ConfigError, "levels"),
+            ("variation", {"p_values": [2.0, -1.0]}, ParameterError, "p must be"),
+            ("estimate", {"p": 0.0}, ParameterError, "p must be"),
+            ("estimate", {"fit_levels": [8, 10]}, InputError, "3 octaves"),
+            ("estimate", {"fit_levels": [4, 11]}, InputError, "exceeds"),
+            ("estimate", {"fit_levels": [-1, 8]}, InputError, "outside"),
+            ("discriminate", {"level": 6}, PreconditionError, "level >= 8"),
+            ("discriminate", {"threshold": -1.0}, ParameterError, "threshold"),
+        ],
+        ids=[
+            "levels-above-level",
+            "levels-descending",
+            "p_values-negative",
+            "p-zero",
+            "fit_levels-short",
+            "fit_levels-above-level",
+            "fit_levels-negative",
+            "discriminate-level-6",
+            "threshold-negative",
+        ],
+    )
+    def test_no_path_drawn_before_error(self, command, cfg, error, match, monkeypatch):
+        drawn = []
+
+        def spy(params, grid, rng):
+            drawn.append(rng)
+            return sample_ggbm(params, grid, rng)
+
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", spy)
+        base = {
+            "variation": {"alpha": 1.2, "beta": 0.7, "level": 10, "p_values": [2.0]},
+            "estimate": {"alpha": 1.0, "beta": 0.5, "level": 10, "n_paths": 2},
+            "discriminate": {"candidates": [[1.0, 1.0], [1.6, 1.0]], "level": 8, "n_paths": 2},
+        }[command]
+        with pytest.raises(error, match=match):
+            run_config(command, {**base, **cfg, "master_seed": 1})
+        assert drawn == []

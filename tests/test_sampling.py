@@ -327,6 +327,24 @@ def _numpy_kanter(beta, rng, size):
     return sampling._mwright_log_kanter(beta, gen.uniform(0.0, math.pi, size), gen.standard_exponential(size))
 
 
+@pytest.mark.parametrize("beta", [1e-6, 0.05, 0.3, 0.5, 0.9, 0.999])
+def test_kanter_draws_equal_the_four_term_expression(beta):
+    """_mwright_log_kanter, which shares _kanter_log_y with the M-Wright
+    density, gives the bytes of the expression it was written as."""
+    u = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.0, math.pi, 129)[1:], [math.pi]])[:, None]
+    w = np.concatenate([[0.0, 1e-310, 1e-12], np.geomspace(1e-6, 40.0, 31)])[None, :]
+    uc = np.clip(u, 1e-300, math.pi * (1.0 - 1e-16))
+    wc = np.maximum(w, np.finfo(float).tiny)
+    b1 = 1.0 - beta
+    old = np.exp(
+        b1 * np.log(wc)
+        - b1 * np.log(np.sin(b1 * uc))
+        - beta * np.log(np.sin(beta * uc))
+        + np.log(np.sin(uc))
+    )
+    assert sampling._mwright_log_kanter(beta, u, w).tobytes() == old.tobytes()
+
+
 class TestSubstreamSeeding:
     SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64, 2 ** 128 + 5]
     IDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40]

@@ -1,11 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc
 
 from greyvar.errors import (
-    AccuracyError,
     DegenerateDistributionError,
     InputError,
     ParameterError,
@@ -130,12 +130,13 @@ class TestMWrightPdf:
         with pytest.raises(InputError):
             mwright_pdf(0.5, -0.1)
 
-    def test_nonconvergent_series_raises(self):
-        # far beyond the double-precision tau range for this beta
-        with pytest.raises(AccuracyError):
-            mwright_pdf(0.5, 80.0)
-        with pytest.raises(AccuracyError):
-            mwright_pdf(0.5, np.array([0.0, 1.0, 80.0]))
+    def test_far_tail_underflows_to_zero(self):
+        # M_1/2(80) = exp(-1600) / sqrt(pi), about 1e-695: below every double
+        assert mwright_pdf(0.5, 80.0) == 0.0
+        got = mwright_pdf(0.5, np.array([0.0, 1.0, 80.0]))
+        ref = np.array([1.0, math.exp(-0.25), 0.0]) / math.sqrt(math.pi)
+        assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+        assert got[2] == 0.0
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
     def test_array_matches_references(self, beta):
@@ -161,6 +162,151 @@ class TestMWrightPdf:
             mwright_pdf(0.5, np.array([0.5, -0.1]))
         with pytest.raises(InputError):
             mwright_pdf(0.5, np.array([0.5, math.nan]))
+
+
+def mwright_series(beta, tau, digits=30):
+    """M_beta(tau) = sum_n (-tau)^n / (n! Gamma(1 - beta(n+1))) in mpmath.
+
+    Terms are added past the largest one until their envelope
+    tau^n Gamma(beta(n+1)) / n! falls `digits` digits below the sum.  The
+    working precision, at least 120 digits, covers the largest term plus
+    `digits` digits of the result, and is raised until the result clears
+    the cancellation noise.
+    """
+    log_tau = math.log10(tau)
+    peak = max(
+        n * log_tau - (math.lgamma(n + 1) - math.lgamma(beta * (n + 1))) / math.log(10)
+        for n in range(1, 4 * int(tau ** (1.0 / (1.0 - beta))) + 10)
+    )
+    # Terms rise while tau (beta n)^beta / n > 1.
+    n_peak = (tau * beta ** beta) ** (1.0 / (1.0 - beta)) + 2
+    lost = 0
+    while True:
+        dps = max(120, int(peak) + lost + digits + 10)
+        with mpmath.workdps(dps):
+            b, t = mpmath.mpf(beta), mpmath.mpf(tau)
+            total, term, n = mpmath.mpf(0), mpmath.mpf(1), 0
+            tol = mpmath.mpf(10) ** -digits
+            while True:
+                total += term * mpmath.rgamma(1 - b * (n + 1))
+                envelope = abs(term) * mpmath.gamma(b * (n + 1))
+                if n > n_peak and envelope < tol * abs(total):
+                    break
+                n += 1
+                term *= -t / n
+            if total > 0 and mpmath.log10(total) > peak - dps + digits:
+                return float(total)
+            lost = int(peak - float(mpmath.log10(abs(total)))) + 1 if total != 0 else lost + 100
+
+
+EPS = np.finfo(float).eps
+
+# mwright_series values that take up to 700 digits and 40,000 terms
+# (minutes each): the far tails down to the double underflow.
+MWRIGHT_SERIES_FROZEN = {
+    (0.05, 150.0): 2.4154655604286794e-70,
+    (0.05, 520.0): 1.8507243939193817e-256,
+    (0.05, 615.0): 1.0823861403298276e-305,
+    (0.15, 120.0): 2.2102213970758652e-75,
+    (0.15, 340.0): 5.4165194933551443e-253,
+    (0.15, 400.0): 5.984730297776194e-306,
+    (0.3, 60.0): 2.33195218883516e-64,
+    (0.3, 150.0): 1.3559522369137485e-234,
+    (0.3, 180.0): 5.809745600610105e-304,
+    (0.7, 8.0): 2.0695092061904407e-58,
+    (0.7, 11.0): 4.563598341749201e-168,
+    (0.7, 13.0): 4.720881122051791e-293,
+    (0.7, 13.17): 5.219500714478822e-306,
+    (0.7, 13.175): 2.140879046183559e-306,
+    (0.9, 2.0): 7.819366916221752e-17,
+    (0.9, 2.4): 5.750482130723383e-106,
+    (0.9, 2.65): 1.7837740239298728e-286,
+    (0.95, 1.5): 2.4460182261475144e-26,
+    (0.95, 1.6): 6.716615823133513e-98,
+    (0.95, 1.69): 1.3781404385342466e-294,
+}
+
+# Taus both sides of the Taylor floor 1e-2 and through the bulk, then tail
+# points per beta where the series is quick.  With the frozen ones they hold
+# (0.5, 10), (0.5, 18.5), (0.7, 6), (0.9, 1.75) and (0.95, 1.5), where a
+# double-precision sum of the alternating series loses every digit.
+ORACLE_TAUS = (1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.0099, 0.0101, 0.05, 0.3, 1.0)
+ORACLE_TAIL = {
+    1e-6: (0.02, 3.0, 40.0),
+    1e-3: (0.02, 3.0, 40.0),
+    0.05: (10.0, 50.0),
+    0.15: (10.0, 50.0),
+    0.3: (5.0, 20.0),
+    0.5: (10.0, 18.5, 30.0, 52.0),
+    0.7: (1.75, 6.0),
+    0.9: (1.5, 1.75),
+    0.95: (1.3,),
+}
+
+
+def mwright_reference(beta, tau):
+    if beta == 0.5:
+        return float(mpmath.exp(-mpmath.mpf(tau) ** 2 / 4) / mpmath.sqrt(mpmath.pi))
+    if (beta, tau) in MWRIGHT_SERIES_FROZEN:
+        return MWRIGHT_SERIES_FROZEN[(beta, tau)]
+    return mwright_series(beta, tau)
+
+
+def condition_number(beta, tau):
+    """|d log M_beta / d log tau| in the tail, c x A(0+) with x = tau^c and
+    A(0+) = (1-beta) beta^(beta/(1-beta)), c = 1/(1-beta): a relative error of
+    eps in anything that scales tau, or x A, moves M_beta by this many eps."""
+    c = 1.0 / (1.0 - beta)
+    return c * tau ** c * (1.0 - beta) * beta ** (beta * c)
+
+
+class TestMWrightOracle:
+    """mwright_pdf against its power series summed in mpmath, down to the
+    double underflow: within 1e-12 relative for tau >= 1e-3 and 1e-11 below,
+    or within the condition number times the machine epsilon where that is
+    larger (the last decades before the underflow for beta >= 0.7, where
+    A(u) = a(u)^c carries the rounding of its sines c-fold)."""
+
+    @pytest.mark.parametrize("beta", sorted(ORACLE_TAIL))
+    def test_against_series(self, beta):
+        taus = ORACLE_TAUS + ORACLE_TAIL[beta]
+        taus += tuple(t for b, t in MWRIGHT_SERIES_FROZEN if b == beta)
+        got = mwright_pdf(beta, np.array(taus))
+        for tau, value in zip(taus, got):
+            ref = mwright_reference(beta, tau)
+            tol = max(1e-12 if tau >= 1e-3 else 1e-11, condition_number(beta, tau) * EPS)
+            assert abs(value - ref) <= tol * ref, (tau, value, ref)
+            assert mwright_pdf(beta, tau) == pytest.approx(value, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.9, 0.99])
+    def test_array_equals_scalar(self, beta):
+        cutoff = mwright_cutoff(beta, 745.0)
+        taus = np.concatenate([[0.0], np.geomspace(1e-6, 1e-2, 9), np.linspace(1e-2, cutoff, 400)])
+        np.random.default_rng(3).shuffle(taus)
+        got = mwright_pdf(beta, taus)
+        single = np.array([mwright_pdf(beta, float(t)) for t in taus])
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - single) <= 1e-14 * single)
+
+    def test_beta_above_node_cap_is_rejected(self):
+        with pytest.raises(ParameterError, match="0.999"):
+            mwright_pdf(0.9995, 1.0)
+        assert math.isfinite(mwright_pdf(0.999, 1.0))
+
+    def test_beta_near_one(self):
+        # M_0.99 rises from 1/Gamma(0.01) ~ 0.01 at 0 to a peak near 1 and
+        # underflows beyond tau ~ 1.13.
+        cutoff = mwright_cutoff(0.99, 745.0)
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        edges = np.linspace(0.0, cutoff, 241)
+        half = 0.5 * np.diff(edges)[:, None]
+        taus = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
+        w = (half * weights).ravel()
+        density = mwright_pdf(0.99, taus)
+        assert np.all(np.isfinite(density)) and np.all(density >= 0.0)
+        assert mwright_pdf(0.99, cutoff * 1.01) == 0.0
+        assert w @ density == pytest.approx(1.0, abs=1e-10)
+        assert w @ (taus * density) == pytest.approx(mwright_moment(0.99, 1.0), abs=1e-10)
 
 
 class TestLaplaceAndMomentIdentities:
