@@ -241,6 +241,8 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 1)
     p_values = _field(cfg, "p_values", [float])
+    if not p_values:
+        raise ConfigError("config field 'p_values' must list at least one exponent")
     lo, hi = _field(cfg, "levels", (int, int), required=False, default=(max(1, level - 8), level))
     if lo > hi:
         raise ConfigError(f"config field 'levels' must be [low, high], got {[lo, hi]}")
@@ -419,6 +421,8 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     param_sets = _field(cfg, "param_sets", [(float, float)], required=False)
     if param_sets is None:
         param_sets = [(_field(cfg, "alpha", float), _field(cfg, "beta", float))]
+    elif not param_sets:
+        raise ConfigError("config field 'param_sets' must list at least one [alpha, beta] pair")
     n_paths = _n_paths(cfg, 20000)
     thetas = tuple(_field(cfg, "thetas", [float], required=False, default=[0.0, 0.5, 1.0, 2.0]))
     s = _field(cfg, "s", float, required=False, default=0.5)

@@ -246,8 +246,13 @@ def _beta_from_target(alpha: float, target: float, region: BetaRegion) -> Tuple[
     return alpha * (x - 1.0), False
 
 
-def _beta_estimate(alpha: float, v: float, region: BetaRegion) -> BetaEstimate:
-    """Beta from a positive critical variation v at known alpha."""
+def _beta_estimate(alpha: float, paths: Sequence[SamplePath], region: BetaRegion) -> BetaEstimate:
+    """Beta from the mean critical variation of paths at known alpha."""
+    if not (0.0 < alpha < 2.0):
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    v = float(np.mean([p_variation_sum(p, 2.0 / alpha).value for p in paths]))
+    if v <= 0.0:
+        raise InputError("critical variation must be positive")
     target = gamma(1.0 / alpha + 1.0) * normal_abs_moment(2.0 / alpha) / v
     beta_hat, boundary = _beta_from_target(alpha, target, region)
     return BetaEstimate(
@@ -265,12 +270,7 @@ def estimate_beta(
     the region's Gamma range return the nearest admissible beta with a
     boundary flag, and targets below the global Gamma minimum raise.
     """
-    if not (0.0 < alpha < 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    v_hat = p_variation_sum(path, 2.0 / alpha).value
-    if v_hat <= 0.0:
-        raise InputError("critical variation sum must be positive")
-    return _beta_estimate(alpha, v_hat, region)
+    return _beta_estimate(alpha, [path], region)
 
 
 def estimate_beta_pooled(
@@ -284,12 +284,7 @@ def estimate_beta_pooled(
     """
     if not paths:
         raise InputError("need at least one path")
-    if not (0.0 < alpha < 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    v_mean = float(np.mean([p_variation_sum(p, 2.0 / alpha).value for p in paths]))
-    if v_mean <= 0.0:
-        raise InputError("mean critical variation must be positive")
-    return _beta_estimate(alpha, v_mean, region)
+    return _beta_estimate(alpha, paths, region)
 
 
 class Label(enum.Enum):

@@ -1,8 +1,10 @@
 """Special functions of the grey Brownian family.
 
-Evaluates the Mittag-Leffler function on the negative real axis, the
-M-Wright density, moment formulas of the M-Wright law, absolute moments of
-the standard normal, and the critical variation limits built from them.
+Evaluates the Mittag-Leffler function on the negative real axis and the
+M-Wright density, each by fixed-node quadrature of one integral with a
+positive integrand (the spectral representation and Kanter's), moment
+formulas of the M-Wright law, absolute moments of the standard normal, and
+the critical variation limits built from them.
 
 Log-Gamma and Gamma values come from the standard library (math.lgamma,
 math.gamma), so the package needs numpy and nothing else at run time.  A
@@ -45,13 +47,7 @@ __all__ = [
 GAMMA_ARGMIN = 1.4616321449683623
 GAMMA_MIN = 0.8856031944108887
 
-# Series terms above this magnitude lose too many digits to cancellation;
-# evaluation switches to the spectral integral instead.
-_SERIES_CANCEL_CAP = 1e2
-
-# Fixed accuracy settings of the Mittag-Leffler series and spectral integral.
-_SERIES_TOL = 1e-15
-_MAX_TERMS = 512
+# Gauss-Legendre order of the Mittag-Leffler spectral panels.
 _QUADRATURE_POINTS = 64
 
 
@@ -95,66 +91,20 @@ def _gauss_panels(edges: np.ndarray, order: int):
     return (0.5 * (hi + lo) + half * nodes).ravel(), (half * weights).ravel()
 
 
-def _ml_series(beta: float, s: float):
-    """Power-series attempt for E_beta(-s).
-
-    Returns the value, or None when the series would lose too much
-    precision to cancellation or does not converge within _MAX_TERMS terms.
-    """
-    log_s = math.log(s)
-    total = 0.0
-    prev_mag = math.inf
-    for n in range(_MAX_TERMS):
-        log_mag = n * log_s - math.lgamma(beta * n + 1.0)
-        mag = math.exp(log_mag)
-        if mag > _SERIES_CANCEL_CAP:
-            return None
-        total += mag if n % 2 == 0 else -mag
-        if mag < _SERIES_TOL and mag <= prev_mag:
-            return total
-        prev_mag = mag
-    return None
-
-
-def _ml_spectral(beta: float, s: float) -> float:
-    """Spectral-representation integral for E_beta(-s), 0 < beta < 1, s > 0.
-
-    E_beta(-s) = sin(pi b)/(pi b) * int_0^inf exp(-(s u)^(1/b)) /
-                 ((u + cos(pi b))^2 + sin(pi b)^2) du,
-    evaluated by composite fixed-order Gauss-Legendre on panels refined
-    toward u = 0, around the kernel peak at u = -cos(pi b) (present for
-    b > 1/2), and toward the exponential cutoff.  (At b = 1/2 this reduces
-    to the closed form exp(s^2) erfc(s).)
-    """
-    c = math.cos(math.pi * beta)
-    sg = math.sin(math.pi * beta)
-    front = sg / (math.pi * beta)
-    # Beyond U the integrand is suppressed by exp(-60) relative to its scale.
-    upper = 60.0 ** beta / s
-
-    edges = {0.0, upper}
-    edges.update(upper * 2.0 ** -np.arange(1, 28, dtype=float))
-    # cutoff-region refinement (the exponential factor turns off sharply
-    # for small beta)
-    edges.update(upper * np.array([0.5, 0.75, 0.875, 0.9375, 0.96875]))
-    peak = -c
-    if 0.0 < peak < upper:
-        for mult in (-8, -4, -2, -1, -0.5, -0.25, 0.25, 0.5, 1, 2, 4, 8):
-            e = peak + mult * sg
-            if 0.0 < e < upper:
-                edges.add(e)
-        edges.add(peak)
-    u, w = _gauss_panels(np.array(sorted(edges)), _QUADRATURE_POINTS)
-    vals = np.exp(-((s * u) ** (1.0 / beta))) / ((u + c) ** 2 + sg * sg)
-    return front * float(np.sum(vals * w))
-
-
 def mittag_leffler(beta: float, s: float) -> float:
     """E_beta(-s) for beta in (0, 1] and s >= 0.
 
-    Uses the defining power series while its terms stay small enough for
-    full double-precision accuracy and the spectral integral otherwise;
-    beta = 1 short-circuits to exp(-s).
+    beta = 1 short-circuits to exp(-s), and s <= 2^-56 to 1.0, the correctly
+    rounded value there.  Otherwise one spectral integral (Gorenflo,
+    Loutchko & Luchko 2002),
+
+        E_beta(-s) = sin(pi b)/(pi b) * int_0^inf exp(-(s u)^(1/b)) /
+                     ((u + cos(pi b))^2 + sin(pi b)^2) du,
+
+    by composite 64-point Gauss-Legendre on octave panels that reach 2^-27
+    of both the cutoff and the kernel's unit scale, refined toward the
+    exponential cutoff and around the kernel peak at u = -cos(pi b)
+    (present for b > 1/2).  The integrand is positive, so nothing cancels.
     """
     if not (0.0 < beta <= 1.0):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
@@ -164,11 +114,26 @@ def mittag_leffler(beta: float, s: float) -> float:
         raise InputError(f"s must be nonnegative, got {s}")
     if beta == 1.0:
         return math.exp(-s)
-    if s == 0.0:
+    if s <= 2.0 ** -56:
         return 1.0
-    value = _ml_series(beta, s)
-    if value is None:
-        value = _ml_spectral(beta, s)
+    c = math.cos(math.pi * beta)
+    sg = math.sin(math.pi * beta)
+    # Beyond upper the integrand is suppressed by exp(-60) relative to its scale.
+    upper = 60.0 ** beta / s
+    edges = {0.0, upper}
+    # Octaves down to 2^-27 of both upper and 1, the kernel's scale.
+    edges.update(upper * 2.0 ** -np.arange(1.0, 28.0 + max(0, math.ceil(math.log2(upper)))))
+    # The exponential factor turns off sharply for small beta.
+    edges.update(upper * np.array([0.75, 0.875, 0.9375, 0.96875]))
+    peak = -c
+    if 0.0 < peak < upper:
+        for mult in (-8, -4, -2, -1, -0.5, -0.25, 0, 0.25, 0.5, 1, 2, 4, 8):
+            e = peak + mult * sg
+            if 0.0 < e < upper:
+                edges.add(e)
+    u, w = _gauss_panels(np.array(sorted(edges)), _QUADRATURE_POINTS)
+    vals = np.exp(-((s * u) ** (1.0 / beta))) / ((u + c) ** 2 + sg * sg)
+    value = sg / (math.pi * beta) * float(np.sum(vals * w))
     # The exact function maps [0, inf) into (0, 1]; clip quadrature jitter.
     return min(max(value, 0.0), 1.0)
 

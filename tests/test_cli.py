@@ -702,6 +702,8 @@ class TestMalformedConfig:
             pytest.param(
                 "discriminate", "candidates", [[1.0, 1.0], [1.6, "1.0"]], id="candidates-numeric-string"
             ),
+            pytest.param("variation", "p_values", [], id="p_values-empty"),
+            pytest.param("validate", "param_sets", [], id="param_sets-empty"),
         ],
     )
     def test_usage_error_names_field(self, command, key, value, tmp_path, monkeypatch, capsys):

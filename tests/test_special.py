@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -84,6 +85,76 @@ class TestMittagLeffler:
             mittag_leffler(0.5, -1.0)
         with pytest.raises(InputError):
             mittag_leffler(0.5, math.nan)
+
+
+
+def ml_reference(beta, s):
+    """E_beta(-s) in mpmath, independent of the spectral integral.
+
+    The power series sum_k (-s)^k / Gamma(beta k + 1) at 120 digits where
+    its largest term stays below 1e60; otherwise the asymptotic series
+    sum_{k>=1} (-1)^(k+1) s^-k / Gamma(1 - beta k), summed until its
+    envelope s^-k Gamma(beta k) falls 40 digits below the sum.  The terms
+    of both turn near beta k = s^(1/beta).
+    """
+    log_s = math.log(s)
+    k_turn = int(math.exp(min(log_s / beta - math.log(beta), 30.0))) + 2
+    peak = max(k * log_s - math.lgamma(beta * k + 1) for k in range(min(k_turn, 10**5) + 1))
+    if peak < 60 * math.log(10):
+        with mpmath.workdps(120):
+            b, x = mpmath.mpf(beta), -mpmath.mpf(s)
+            total, term, k = mpmath.mpf(0), mpmath.mpf(1), 0
+            while k <= k_turn or abs(term) >= mpmath.mpf(10) ** -45:
+                term = x**k * mpmath.rgamma(b * k + 1)
+                total += term
+                k += 1
+            return float(total)
+    with mpmath.workdps(60):
+        b, x = mpmath.mpf(beta), mpmath.mpf(s)
+        total, k = mpmath.mpf(0), 1
+        while True:
+            total += (-1) ** (k + 1) * x**-k * mpmath.rgamma(1 - b * k)
+            envelope = x**-k * (mpmath.gamma(b * k) if b * k > 1 else 1)
+            if envelope < mpmath.mpf(10) ** -40 * abs(total):
+                return float(total)
+            assert k < k_turn, "asymptotic series turned before converging"
+            k += 1
+
+
+ML_ORACLE_BETAS = (0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 0.995, 0.999)
+ML_ORACLE_S = (
+    1e-300, 1e-100, 1e-30, 1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0,
+    2.0, 4.0, 6.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e6, 1e10, 1e15,
+)
+# ml_reference values whose series needs 10^4 to 10^5 terms (seconds each).
+ML_ORACLE_FROZEN = {
+    (0.001, 1.0): 0.4998556960785243,
+    (0.01, 1.0): 0.4985569555884718,
+}
+
+
+class TestMittagLefflerOracle:
+    """mittag_leffler against mpmath within 1e-13 relative from s = 1e-300
+    to 1e15.  The grid holds (0.8, 4), (0.99, 6), (0.995, 6) and (0.999, 6),
+    where a double-precision power series loses 1e-12 to 5e-11 to
+    cancellation, and s <= 1e-12, where the spectral panels must reach the
+    kernel's unit scale far below the cutoff 60^beta / s."""
+
+    @pytest.mark.parametrize("beta", ML_ORACLE_BETAS)
+    def test_against_mpmath(self, beta):
+        for s in ML_ORACLE_S:
+            ref = ML_ORACLE_FROZEN.get((beta, s)) or ml_reference(beta, s)
+            value = mittag_leffler(beta, s)
+            assert abs(value - ref) <= 1e-13 * ref, (s, value, ref)
+
+    @pytest.mark.parametrize("beta", [0.001, 0.3, 0.5, 0.9, 0.999])
+    def test_extreme_arguments(self, beta):
+        # Below 2^-56, s / Gamma(1 + beta) is under half an ulp below 1.
+        assert mittag_leffler(beta, 2.0**-56) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in (1e-300, 1e-16, 1e300):
+                assert 0.0 <= mittag_leffler(beta, s) <= 1.0
 
 
 class TestMWrightPdf:
