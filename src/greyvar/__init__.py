@@ -45,8 +45,6 @@ from .sampling import (
     fbm_covariance,
     sample_fbm_cholesky,
     sample_fbm_cholesky_batch,
-    sample_fbm_circulant,
-    sample_fbm_circulant_batch,
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,

@@ -45,7 +45,6 @@ from .sampling import (
     SamplePath,
     UniformGrid,
     sample_fbm_cholesky,
-    sample_fbm_circulant,
     sample_ggbm,
 )
 from .serialize import atomic_write_text, dump_report, path_to_csv, save_bundle, table_csv
@@ -101,8 +100,8 @@ def _convert(value, kind):
 def _field(cfg: dict, key: str, kind, required: bool = True, default=None):
     """Read and check one config field.
 
-    `kind` is int, float, str or bool, `[kind]` for a list of any length,
-    or a tuple of kinds such as `(int, int)` for a list of that length.
+    `kind` is int, float, str or bool, `[kind]` for a nonempty list, or a
+    tuple of kinds such as `(int, int)` for a list of that length.
     A missing optional field gives `default` as it is.
     """
     if key not in cfg:
@@ -110,6 +109,8 @@ def _field(cfg: dict, key: str, kind, required: bool = True, default=None):
             raise ConfigError(f"config field {key!r} is required")
         return default
     value = cfg[key]
+    if isinstance(kind, list) and value == []:
+        raise ConfigError(f"config field {key!r} is an empty list: it must hold at least one entry")
     try:
         return _convert(value, kind)
     except (TypeError, ValueError, OverflowError):
@@ -196,7 +197,7 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     elif process == "fbm-circulant":
         if not isinstance(grid, DyadicGrid):
             raise ConfigError("fbm-circulant requires a dyadic grid")
-        draw = partial(sample_fbm_circulant, _field(cfg, "hurst", float), grid.level)
+        draw = partial(sample_ggbm, GreyParams.fbm(_field(cfg, "hurst", float)), grid)
     else:
         raise ConfigError(f"unknown process {process!r}")
 
@@ -241,8 +242,6 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 1)
     p_values = _field(cfg, "p_values", [float])
-    if not p_values:
-        raise ConfigError("config field 'p_values' must list at least one exponent")
     lo, hi = _field(cfg, "levels", (int, int), required=False, default=(max(1, level - 8), level))
     if lo > hi:
         raise ConfigError(f"config field 'levels' must be [low, high], got {[lo, hi]}")
@@ -421,8 +420,6 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     param_sets = _field(cfg, "param_sets", [(float, float)], required=False)
     if param_sets is None:
         param_sets = [(_field(cfg, "alpha", float), _field(cfg, "beta", float))]
-    elif not param_sets:
-        raise ConfigError("config field 'param_sets' must list at least one [alpha, beta] pair")
     n_paths = _n_paths(cfg, 20000)
     thetas = tuple(_field(cfg, "thetas", [float], required=False, default=[0.0, 0.5, 1.0, 2.0]))
     s = _field(cfg, "s", float, required=False, default=0.5)

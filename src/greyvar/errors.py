@@ -23,7 +23,8 @@ class DegenerateDistributionError(ParameterError):
 
 
 class CapacityError(GreyVarError):
-    """The request exceeds a documented size guard (e.g. Cholesky grid cap)."""
+    """The request exceeds a documented size guard: 2^24 increments for the
+    circulant ggBm sampler, 4,097 points for the Cholesky reference sampler."""
 
 
 class PreconditionError(GreyVarError):

@@ -1,19 +1,19 @@
 """Exact path simulation for fractional and grey Brownian motion.
 
-Provides two exact fBm samplers (dense Cholesky and circulant embedding),
-a one-sided stable sampler, the derived M-Wright subordinator sampler, and
-their composition into grey Brownian paths (one subordinator draw per
-path, multiplying the whole fBm trajectory).
+Grey Brownian paths, sqrt(Y) times fBm with one M-Wright draw Y per path,
+are drawn by circulant embedding on every grid up to 2^24 increments: the
+minimal embedding of fGn is nonnegative for every size and H (Dietrich &
+Newsam 1997; Craigmile 2003).  A dense Cholesky fBm sampler (4,097-point
+cap) is the independent reference for it.  Also: one-sided stable and
+M-Wright subordinator samplers.
 
 Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
 batch core draws column i from substream i; a single path is a batch of
-one, and a batch column equals the single-path call bit for bit on
-power-of-two grids, to rounding (< 1e-13) on Cholesky grids.
+one, and a batch column equals the single-path call bit for bit.
 
 Each grid's plan is built once, under one lock across threads: the
 circulant square-root spectrum is cached per (hurst, grid size), the 8 most
-recent, and the Cholesky factor of the most recent (hurst, grid) only, up
-to 134 MB at the 4,097-point cap.
+recent, and the Cholesky factor of the most recent (hurst, grid) only.
 A circulant draw is one hfft of the half spectrum: the spectral draw is
 Hermitian, so only its first m + 1 of 2m entries are formed.
 
@@ -44,9 +44,7 @@ __all__ = [
     "SamplePath",
     "fbm_covariance",
     "sample_fbm_cholesky",
-    "sample_fbm_circulant",
     "sample_fbm_cholesky_batch",
-    "sample_fbm_circulant_batch",
     "sample_one_sided_stable",
     "sample_mwright",
     "sample_ggbm",
@@ -55,9 +53,6 @@ __all__ = [
 
 CHOLESKY_MAX_POINTS = 2 ** 12 + 1
 CIRCULANT_MAX_LEVEL = 24
-# Circulant eigenvalues in (-tol, 0) are rounding debris and are clipped;
-# anything more negative indicates an invalid embedding.
-CIRCULANT_EIG_TOL = 1e-9
 
 
 def _as_int(value, minimum: int, what: str) -> int:
@@ -302,21 +297,36 @@ def _cholesky_factor(hurst: float, grid: Grid) -> np.ndarray:
     return factor
 
 
+def _fgn_autocovariance(hurst: float, k: np.ndarray) -> np.ndarray:
+    """Autocovariance ((k+1)^2H - 2k^2H + |k-1|^2H) / 2 of unit-spacing fGn at
+    increasing lags k >= 0.  From lag 8 on, where that form cancels (terms
+    ~k^2H, value ~k^(2H-2)), it is k^2H sum_{j>=1} C(2H, 2j) k^-2j by Horner
+    in k^-2 <= 1/64; ten terms truncate below 1e-18 relative."""
+    a = 2.0 * hurst
+    near, far = np.split(k, [np.searchsorted(k, 8.0)])
+    ratios = [(a - 2 * j) * (a - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2)) for j in range(1, 10)]
+    binom = np.cumprod([a * (a - 1.0) / 2.0] + ratios)  # C(a, 2j), j = 1..10
+    series = np.polyval(np.append(binom[::-1], 0.0), far ** -2.0)
+    direct = 0.5 * ((near + 1.0) ** a - 2.0 * near ** a + np.abs(near - 1.0) ** a)
+    return np.concatenate([direct, series * far ** a])
+
+
 @functools.lru_cache(maxsize=8)
 def _circulant_sqrt_spectrum(hurst: float, m: int) -> np.ndarray:
     """sqrt of the first m + 1 eigenvalues of the 2m-point circulant embedding of
-    unit-spacing fGn, entries 1..m-1 halved first; read-only, as threads share it."""
-    h2 = 2.0 * hurst
-    k = np.arange(m + 1, dtype=float)
-    gamma = 0.5 * ((k + 1.0) ** h2 - 2.0 * k ** h2 + np.abs(k - 1.0) ** h2)
-    c = np.concatenate([gamma, gamma[m - 1:0:-1]])
-    eig = np.fft.fft(c).real
-    if eig.min() < -CIRCULANT_EIG_TOL:
+    unit-spacing fGn, entries 1..m-1 halved first; read-only, as threads share it.
+    The exact eigenvalues are nonnegative and rounding moves them by about 4e-15
+    of the largest, so those down to -1e-12 of it are clipped to zero."""
+    # The embedding's first row is real and even: its spectrum is the hfft of
+    # the row's first m + 1 entries.
+    eig = np.fft.hfft(_fgn_autocovariance(hurst, np.arange(m + 1.0)), n=2 * m)[: m + 1]
+    top, low = eig.max(), eig.min()
+    if low < -1e-12 * top:
         raise NumericalError(
-            f"circulant embedding produced eigenvalue {eig.min():.3e} below tolerance "
-            f"(H={hurst}, level m={m})"
+            f"fGn circulant spectrum lost its precision (H={hurst}, m={m}): eigenvalue "
+            f"{low:.3e} against the largest {top:.3e}, where the exact spectrum is nonnegative"
         )
-    eig = np.clip(eig[: m + 1], 0.0, None)
+    eig = np.clip(eig, 0.0, None)
     eig[1:m] /= 2.0
     root = np.sqrt(eig)
     root.flags.writeable = False
@@ -342,39 +352,31 @@ def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
     return u, w, z
 
 
-def _fbm_batch(
-    hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int, cholesky: bool = False
-) -> np.ndarray:
-    """(n_points, n_paths) batch of sqrt(Y) times fBm, column i from rng.stream(i),
-    as in sample_ggbm; cholesky forces Cholesky on power-of-two grids too."""
+def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int) -> np.ndarray:
+    """(n_points, n_paths) batch of sqrt(Y) times fBm by circulant embedding,
+    column i from rng.stream(i), as in sample_ggbm."""
     if n_paths < 0:
         raise ParameterError(f"n_paths must be nonnegative, got {n_paths}")
     m = grid.n_increments
-    circulant = not cholesky and m & (m - 1) == 0
-    if circulant and m > 2 ** CIRCULANT_MAX_LEVEL:
+    if m > 2 ** CIRCULANT_MAX_LEVEL:
         raise CapacityError(f"grid size {m} exceeds the circulant cap 2^{CIRCULANT_MAX_LEVEL}")
-    if not circulant and m + 1 > CHOLESKY_MAX_POINTS:
-        raise CapacityError(f"{m + 1} grid points exceed the Cholesky cap {CHOLESKY_MAX_POINTS}")
     # Build the plan first: its temporaries are freed before the normals exist.
     # The lock keeps threads that miss the cache at once from each building it.
     with _PLAN_LOCK:
-        plan = _circulant_sqrt_spectrum(hurst, m) if circulant else _cholesky_factor(hurst, grid)
+        root = _circulant_sqrt_spectrum(hurst, m)
 
-    u, w, z = _draws(beta, rng, n_paths, 2 * m if circulant else m)
+    u, w, z = _draws(beta, rng, n_paths, 2 * m)
 
     out = np.zeros((m + 1, n_paths))
-    if circulant:
-        # The 2m-point spectral draw is Hermitian: hfft reads only its first
-        # m + 1 entries, and the normals are freed before the transform.
-        v = np.empty((m + 1, n_paths), dtype=complex)
-        v[[0, m]] = plan[[0, m], None] * z[:2]
-        np.multiply(plan[1:m, None], z[2:m + 1], out=v.real[1:m])
-        np.multiply(plan[1:m, None], z[m + 1:], out=v.imag[1:m])
-        del z
-        fgn = np.fft.hfft(v, n=2 * m, axis=0)[:m] / math.sqrt(2 * m) * (1.0 / m) ** hurst
-        np.cumsum(fgn, axis=0, out=out[1:])
-    else:
-        out[1:] = plan @ z
+    # The 2m-point spectral draw is Hermitian: hfft reads only its first
+    # m + 1 entries, and the normals are freed before the transform.
+    v = np.empty((m + 1, n_paths), dtype=complex)
+    v[[0, m]] = root[[0, m], None] * z[:2]
+    np.multiply(root[1:m, None], z[2:m + 1], out=v.real[1:m])
+    np.multiply(root[1:m, None], z[m + 1:], out=v.imag[1:m])
+    del z
+    fgn = np.fft.hfft(v, n=2 * m, axis=0)[:m] / math.sqrt(2 * m) * (1.0 / m) ** hurst
+    np.cumsum(fgn, axis=0, out=out[1:])
     # beta = 1 consumes no randomness, so the ggBm path then equals the
     # plain fBm path driven by the same substream.
     if beta != 1.0:
@@ -382,33 +384,30 @@ def _fbm_batch(
     return out
 
 
-def _path(params: GreyParams, grid: Grid, rng: RngSpec, cholesky: bool = False) -> SamplePath:
-    values = _fbm_batch(params.hurst, params.beta, grid, rng, 1, cholesky)[:, 0]
-    return SamplePath(grid=grid, values=values, params=params, seed=rng)
-
-
-def sample_fbm_cholesky(hurst: float, grid: Grid, rng: RngSpec) -> SamplePath:
-    """Exact fBm draw on an arbitrary grid by dense Cholesky factorization."""
-    return _path(GreyParams.fbm(hurst), grid, rng, cholesky=True)
-
-
-def sample_fbm_circulant(hurst: float, level: int, rng: RngSpec) -> SamplePath:
-    """Exact fBm draw on the dyadic grid of the given level by circulant
-    embedding of the stationary increment covariance (O(m log m))."""
-    return _path(GreyParams.fbm(hurst), DyadicGrid(level), rng)
-
-
 def sample_fbm_cholesky_batch(
     hurst: float, grid: Grid, rng: RngSpec, n_paths: int
 ) -> np.ndarray:
-    """(n_points, n_paths) fBm batch; column i uses substream rng.stream(i)."""
-    return _fbm_batch(GreyParams.fbm(hurst).hurst, 1.0, grid, rng, n_paths, cholesky=True)
+    """(n_points, n_paths) exact fBm batch by dense Cholesky factorisation, column
+    i from rng.stream(i), up to CHOLESKY_MAX_POINTS grid points: the independent
+    reference for the circulant sampler, with which it shares only the substreams."""
+    hurst = GreyParams.fbm(hurst).hurst
+    if n_paths < 0:
+        raise ParameterError(f"n_paths must be nonnegative, got {n_paths}")
+    m = grid.n_increments
+    if m + 1 > CHOLESKY_MAX_POINTS:
+        raise CapacityError(f"{m + 1} grid points exceed the Cholesky cap {CHOLESKY_MAX_POINTS}")
+    with _PLAN_LOCK:
+        factor = _cholesky_factor(hurst, grid)
+    z = _draws(1.0, rng, n_paths, m)[2]
+    out = np.zeros((m + 1, n_paths))
+    out[1:] = factor @ z
+    return out
 
 
-def sample_fbm_circulant_batch(
-    hurst: float, level: int, rng: RngSpec, n_paths: int
-) -> np.ndarray:
-    return _fbm_batch(GreyParams.fbm(hurst).hurst, 1.0, DyadicGrid(level), rng, n_paths)
+def sample_fbm_cholesky(hurst: float, grid: Grid, rng: RngSpec) -> SamplePath:
+    """Exact fBm draw on an arbitrary grid by dense Cholesky factorisation."""
+    values = sample_fbm_cholesky_batch(hurst, grid, rng, 1)[:, 0]
+    return SamplePath(grid=grid, values=values, params=GreyParams.fbm(hurst), seed=rng)
 
 
 def _kanter_log_y(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -476,18 +475,19 @@ def sample_ggbm(params: GreyParams, grid: Grid, rng: RngSpec) -> SamplePath:
     """Grey Brownian path: sqrt(Y) times a standard fBm path with
     H = alpha/2, Y drawn once per path from the M-Wright law.
 
-    Dyadic grids (and uniform grids whose size is a power of two) use the
-    circulant sampler; other uniform grids fall back to Cholesky and
-    inherit its size cap.  The subordinator is drawn before the Gaussian
-    block, from the same substream.
+    Every grid is drawn by circulant embedding, and more than 2^24
+    increments is a CapacityError.  Y is drawn before the Gaussian block,
+    from the same substream; with beta = 1 none is, so GreyParams.fbm(h)
+    gives the plain fBm path of that substream.
     """
-    return _path(params, grid, rng)
+    values = _fbm_batch(params.hurst, params.beta, grid, rng, 1)[:, 0]
+    return SamplePath(grid=grid, values=values, params=params, seed=rng)
 
 
 def sample_ggbm_batch(
     params: GreyParams, grid: Grid, rng: RngSpec, n_paths: int
 ) -> np.ndarray:
     """(n_points, n_paths) grey Brownian batch, one substream per path;
-    column i reproduces sample_ggbm(params, grid, rng.stream(i)) bit for bit
-    on power-of-two grids, to rounding (< 1e-13) on Cholesky grids."""
+    column i equals sample_ggbm(params, grid, rng.stream(i)).values bit for
+    bit on every grid."""
     return _fbm_batch(params.hurst, params.beta, grid, rng, n_paths)

@@ -28,8 +28,8 @@ from greyvar.sampling import (
     RngSpec,
     fbm_covariance,
     sample_fbm_cholesky_batch,
-    sample_fbm_circulant_batch,
     sample_ggbm,
+    sample_ggbm_batch,
     sample_mwright,
 )
 from greyvar.serialize import dump_report
@@ -124,8 +124,8 @@ def _fbm_exactness():
         ref = fbm_covariance(hurst, 0.5, 1.0)
         se = float(prod.std()) / math.sqrt(prod.size)
         z = (float(prod.mean()) - ref) / se
-        circ = sample_fbm_circulant_batch(
-            hurst, 8, BASE.stream(120_000 + 200_000 * k), 10_000
+        circ = sample_ggbm_batch(
+            GreyParams.fbm(hurst), DyadicGrid(8), BASE.stream(120_000 + 200_000 * k), 10_000
         )
         ks = ks_2samp(np.diff(batch[:, :10_000], axis=0)[0], np.diff(circ, axis=0)[0])
         rows.append(
@@ -155,7 +155,7 @@ def test_criterion_03_fbm_exactness():
 def _brownian_quadratic_variation():
     values = []
     for i in range(100):
-        batch = sample_fbm_circulant_batch(0.5, 14, BASE.stream(30_000 + i), 1)
+        batch = sample_ggbm_batch(GreyParams.fbm(0.5), DyadicGrid(14), BASE.stream(30_000 + i), 1)
         inc = np.diff(batch[:, 0])
         values.append(float(np.sum(inc * inc)))
     mean = float(np.mean(values))

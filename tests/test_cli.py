@@ -704,6 +704,8 @@ class TestMalformedConfig:
             ),
             pytest.param("variation", "p_values", [], id="p_values-empty"),
             pytest.param("validate", "param_sets", [], id="param_sets-empty"),
+            pytest.param("validate", "moment_orders", [], id="moment_orders-empty"),
+            pytest.param("validate", "lags", [], id="lags-empty"),
         ],
     )
     def test_usage_error_names_field(self, command, key, value, tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from greyvar.inference import (
     region_for,
 )
 from greyvar.params import GreyParams
-from greyvar.sampling import DyadicGrid, RngSpec, SamplePath, sample_fbm_circulant, sample_ggbm
+from greyvar.sampling import DyadicGrid, RngSpec, SamplePath, sample_ggbm
 
 from conftest import MASTER_SEED
 
@@ -93,7 +93,7 @@ class TestEstimateAlpha:
         rng = RngSpec(MASTER_SEED, 0)
         hats = []
         for i in range(100):
-            path = sample_fbm_circulant(0.5, 14, rng.stream(i))
+            path = sample_ggbm(GreyParams.fbm(0.5), DyadicGrid(14), rng.stream(i))
             hats.append(estimate_alpha(path, 1.0, (8, 14)).alpha_hat)
         assert abs(np.mean(hats) - 1.0) <= 0.05
 
@@ -210,7 +210,7 @@ class TestDiscriminate:
         c1, c2 = Candidate(GreyParams(1.0, 1.0)), Candidate(GreyParams(1.6, 1.0))
         wins = 0
         for i in range(50):
-            path = sample_fbm_circulant(0.5, 12, rng.stream(3000 + i))
+            path = sample_ggbm(GreyParams.fbm(0.5), DyadicGrid(12), rng.stream(3000 + i))
             d = discriminate(path, c1, c2)
             wins += d.label is Label.FIRST
             assert d.drift_expected is not None

@@ -1,8 +1,10 @@
 import math
 import pickle
 import sys
+import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -18,13 +20,12 @@ from greyvar.sampling import (
     UniformGrid,
     _cholesky_factor,
     _circulant_sqrt_spectrum,
+    _fgn_autocovariance,
     _seed_states,
     _substreams,
     fbm_covariance,
     sample_fbm_cholesky,
     sample_fbm_cholesky_batch,
-    sample_fbm_circulant,
-    sample_fbm_circulant_batch,
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,
@@ -61,8 +62,8 @@ def test_fbm_samplers_check_hurst_first(rng):
     for call in (
         lambda: sample_fbm_cholesky(1.0, DyadicGrid(13), rng),
         lambda: sample_fbm_cholesky_batch(1.0, UniformGrid(5000), rng, 2),
-        lambda: sample_fbm_circulant(0.0, 25, rng),
-        lambda: sample_fbm_circulant_batch(float("nan"), 25, rng, 2),
+        lambda: sample_ggbm(GreyParams.fbm(0.0), DyadicGrid(25), rng),
+        lambda: sample_ggbm_batch(GreyParams.fbm(float("nan")), DyadicGrid(25), rng, 2),
     ):
         with pytest.raises(ParameterError, match="hurst must lie in"):
             call()
@@ -112,13 +113,13 @@ class TestCholesky:
 
 class TestCirculant:
     def test_determinism(self, rng):
-        a = sample_fbm_circulant(0.3, 8, rng)
-        b = sample_fbm_circulant(0.3, 8, rng)
+        a = sample_ggbm(GreyParams.fbm(0.3), DyadicGrid(8), rng)
+        b = sample_ggbm(GreyParams.fbm(0.3), DyadicGrid(8), rng)
         assert np.array_equal(a.values, b.values)
 
     def test_level_guard(self, rng):
         with pytest.raises(CapacityError):
-            sample_fbm_circulant(0.5, 25, rng)
+            sample_ggbm(GreyParams.fbm(0.5), DyadicGrid(25), rng)
         with pytest.raises(CapacityError):
             sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(25), rng)
 
@@ -129,14 +130,14 @@ class TestCirculant:
             root[0] = 0.0
 
     def test_increment_variance_level12(self, rng):
-        batch = sample_fbm_circulant_batch(0.5, 12, rng.stream(100), 2_000)
+        batch = sample_ggbm_batch(GreyParams.fbm(0.5), DyadicGrid(12), rng.stream(100), 2_000)
         inc = np.diff(batch, axis=0)
         var = inc.var()
         se = var * math.sqrt(2.0 / inc.size)
         assert abs(var - 2.0 ** -12) <= 4.0 * se
 
     def test_lag_one_autocorrelation_h06(self, rng):
-        batch = sample_fbm_circulant_batch(0.6, 10, rng.stream(200), 20_000)
+        batch = sample_ggbm_batch(GreyParams.fbm(0.6), DyadicGrid(10), rng.stream(200), 20_000)
         inc = np.diff(batch, axis=0)
         rho = float((inc[:-1] * inc[1:]).mean() / inc.var())
         # (2^(2H) - 2)/2 at H = 0.6
@@ -146,9 +147,33 @@ class TestCirculant:
     def test_agrees_with_cholesky(self, hurst, rng):
         n = 10_000
         chol = sample_fbm_cholesky_batch(hurst, DyadicGrid(10), rng.stream(300), n)
-        circ = sample_fbm_circulant_batch(hurst, 10, rng.stream(300 + n), n)
+        circ = sample_ggbm_batch(GreyParams.fbm(hurst), DyadicGrid(10), rng.stream(300 + n), n)
         stat = ks_2samp(np.diff(chol, axis=0)[0], np.diff(circ, axis=0)[0])
         assert stat.pvalue > 0.001
+
+    @pytest.mark.parametrize("hurst", [0.01, 0.3, 0.5, 0.8, 0.99])
+    def test_autocovariance_against_mpmath(self, hurst):
+        # The series branch, from lag 8 on; below it the direct form is kept.
+        lags = np.array([8, 9, 100, 12345, 2 ** 20, 2 ** 24], dtype=float)
+        got = _fgn_autocovariance(hurst, lags)
+        with mpmath.workdps(40):
+            a = 2 * mpmath.mpf(hurst)
+            for k, value in zip(lags, got):
+                k = mpmath.mpf(float(k))
+                ref = ((k + 1) ** a - 2 * k ** a + (k - 1) ** a) / 2
+                assert abs(mpmath.mpf(float(value)) - ref) <= 1e-15 * abs(ref), (hurst, k)
+
+    @pytest.mark.parametrize(
+        "hurst, m",
+        # The first two raised NumericalError while the autocovariance
+        # cancelled at large lags; the odd and prime sizes are non-dyadic grids.
+        [(0.99, 2 ** 20), (0.95, 2 ** 21)]
+        + [(h, m) for h in (0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999) for m in (3, 5, 999, 1009, 4097)],
+    )
+    def test_spectrum_positive(self, hurst, m):
+        # Uncached, so that the large spectra are not kept.
+        root = _circulant_sqrt_spectrum.__wrapped__(hurst, m)
+        assert root.shape == (m + 1,) and root.min() > 0.0
 
 
 class TestStableSampler:
@@ -231,7 +256,7 @@ class TestSubordinatorRange:
 class TestGgbm:
     def test_beta_one_reduces_to_fbm_exactly(self, rng):
         g = sample_ggbm(GreyParams(1.4, 1.0), DyadicGrid(8), rng)
-        f = sample_fbm_circulant(0.7, 8, rng)
+        f = sample_ggbm(GreyParams.fbm(0.7), DyadicGrid(8), rng)
         assert np.array_equal(g.values, f.values)
 
     @pytest.mark.parametrize(
@@ -241,11 +266,11 @@ class TestGgbm:
             (DyadicGrid(5), 1.0, 0.0),
             (UniformGrid(256), 0.7, 0.0),
             (UniformGrid(256), 1.0, 0.0),
-            # Cholesky grid: the batch product (gemm) and the one-column
-            # product (gemv) round differently.
-            (UniformGrid(100), 0.7, 1e-13),
+            (UniformGrid(100), 0.7, 0.0),
+            (UniformGrid(999), 0.7, 0.0),
         ],
-        ids=["dyadic5-0.7", "dyadic5-1.0", "uniform256-0.7", "uniform256-1.0", "uniform100-0.7"],
+        ids=["dyadic5-0.7", "dyadic5-1.0", "uniform256-0.7", "uniform256-1.0", "uniform100-0.7",
+             "uniform999-0.7"],
     )
     def test_batch_equals_singles(self, grid, beta, atol, rng):
         params = GreyParams(1.2, beta)
@@ -259,11 +284,26 @@ class TestGgbm:
         assert isinstance(path.grid, UniformGrid)
         assert len(path.values) == 257
 
-    def test_uniform_odd_grid_uses_cholesky(self, rng):
-        path = sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(100), rng)
-        assert len(path.values) == 101
-        with pytest.raises(CapacityError):
-            sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(5001), rng)
+    def test_uniform_odd_grid_and_cap(self, rng):
+        path = sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(5001), rng)
+        assert len(path.values) == 5002 and np.all(np.isfinite(path.values))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="circulant cap"):
+                sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(2 ** 24 + 1), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20  # the cap is checked before any array is built
+
+    def test_never_factorises(self, rng, monkeypatch):
+        def refuse(a):
+            raise AssertionError("sample_ggbm reached a Cholesky factorisation")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        _cholesky_factor.cache_clear()
+        path = sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(999), rng)
+        assert len(path.values) == 1000
 
     def test_variance_at_one(self, rng):
         # E x(1)^2 = 1/Gamma(beta + 1)
@@ -405,7 +445,7 @@ class TestBatchSize:
         [
             (lambda n, rng: sample_ggbm_batch(GreyParams(1.2, 0.7), DyadicGrid(3), rng, n), 9),
             (lambda n, rng: sample_fbm_cholesky_batch(0.6, UniformGrid(5), rng, n), 6),
-            (lambda n, rng: sample_fbm_circulant_batch(0.6, 3, rng, n), 9),
+            (lambda n, rng: sample_ggbm_batch(GreyParams.fbm(0.6), DyadicGrid(3), rng, n), 9),
         ],
         ids=["ggbm", "fbm-cholesky", "fbm-circulant"],
     )
@@ -442,10 +482,7 @@ class TestSamplerPlans:
         params = GreyParams(1.2, beta)
         for n_paths in (1, 3):
             expected = _full_fft_batch(params.hurst, beta, level, rng, n_paths)
-            if beta == 1.0:
-                batch = sample_fbm_circulant_batch(params.hurst, level, rng, n_paths)
-            else:
-                batch = sample_ggbm_batch(params, DyadicGrid(level), rng, n_paths)
+            batch = sample_ggbm_batch(params, DyadicGrid(level), rng, n_paths)
             assert np.abs(batch - expected).max() <= 1e-13 * np.abs(expected).max()
             for i in range(n_paths):
                 single = sample_ggbm(params, DyadicGrid(level), rng.stream(i))
@@ -459,21 +496,31 @@ class TestSamplerPlans:
             factor[0, 0] = 0.0
         assert factor.tobytes() == _cholesky_factor.__wrapped__(0.6, grid).tobytes()
 
-    def test_sample_command_factorises_once(self, monkeypatch):
+    @staticmethod
+    def _count_spectrum_builds(monkeypatch):
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
-        _cholesky_factor.cache_clear()
+        build = sampling._fgn_autocovariance
+
+        def slow_build(hurst, k):
+            # A build slower than a thread switch: without the plan lock,
+            # every thread that misses the cache would start its own.
+            calls.append((hurst, len(k)))
+            time.sleep(0.02)
+            return build(hurst, k)
+
+        monkeypatch.setattr(sampling, "_fgn_autocovariance", slow_build)
+        _circulant_sqrt_spectrum.cache_clear()
+        return calls
+
+    def test_sample_command_factorises_once(self, monkeypatch):
+        calls = self._count_spectrum_builds(monkeypatch)
         cfg = {"grid": "uniform", "n": 999, "n_paths": 4, "alpha": 1.2, "beta": 0.7, "master_seed": 3}
         assert run_config("sample", cfg, threads=1)["results"]["n_paths"] == 4
-        assert calls == [(999, 999)]
+        assert calls == [(0.6, 1000)]
 
     @pytest.mark.parametrize("threads", [2, 4])
     def test_threads_share_one_factorisation(self, threads, monkeypatch):
-        calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
-        _cholesky_factor.cache_clear()
+        calls = self._count_spectrum_builds(monkeypatch)
         cfg = {"grid": "uniform", "n": 999, "n_paths": 4, "alpha": 1.2, "beta": 0.7, "master_seed": 3}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -481,7 +528,7 @@ class TestSamplerPlans:
             assert run_config("sample", cfg, threads=threads)["results"]["n_paths"] == 4
         finally:
             sys.setswitchinterval(interval)
-        assert calls == [(999, 999)]
+        assert calls == [(0.6, 1000)]
 
     def test_circulant_draw_memory(self, rng):
         # The 2m-row complex buffer of a full FFT alone is 2 MiB at level 16.
