@@ -476,6 +476,9 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
     """Execute one command; returns the full report dictionary."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    named = cfg.get("command", command)
+    if named != command:
+        raise ConfigError(f"config is for command {named!r}, but {command!r} was run")
     unknown = sorted(set(cfg) - _SHARED_KEYS - _COMMANDS[command].keys)
     if unknown:
         raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}")
@@ -542,7 +545,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError("config must be a JSON object")
         cfg = dict(cfg)
-        cfg.pop("command", None)
         if args.seed is not None:
             cfg["master_seed"] = args.seed
         if "master_seed" not in cfg:

@@ -8,8 +8,10 @@ cap) is the independent reference for it.  Also: one-sided stable and
 M-Wright subordinator samplers.
 
 Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
-batch core draws column i from substream i; a single path is a batch of
-one, and a batch column equals the single-path call bit for bit.
+batch core draws path i from substream i, path-major: its normals fill one
+contiguous row and the FFT runs along the rows, and path i is column i of
+the returned (n_points, n_paths) C-ordered array.  A single path is a batch
+of one, and a batch column equals the single-path call bit for bit.
 
 Each grid's plan is built once, under one lock across threads: the
 circulant square-root spectrum is cached per (hurst, grid size), the 8 most
@@ -337,19 +339,29 @@ _PLAN_LOCK = threading.Lock()
 
 
 def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
-    """Path i's Kanter U and W (beta < 1), then its normals, from rng.stream(i).
+    """Path i's Kanter U and W (beta < 1; empty at beta = 1), then its normals,
+    from rng.stream(i).  The normals come back as an (n_normals, n_paths) view:
+    each path fills one contiguous row of a C-ordered (n_paths, n_normals)
+    array in place.  U is pi times the raw PCG64 word as numpy's next_double
+    forms it, which equals gen.random() and gen.uniform(0, pi) bit for bit
+    without their dtype dispatch.
 
     A function of its own so that the last generator, whose PCG64 holds a
     view of the whole batch's seed array, is freed before the FFT.
     """
-    u, w = np.empty((2, n_paths))
-    z = np.empty((n_normals, n_paths))
-    for i, gen in enumerate(_substreams(rng, n_paths)):
+    rows = np.empty((n_paths, n_normals))
+    u, w = [], []
+    # One seed holder for the batch: a PCG64 reads its words at construction.
+    seed = _SeedState(None)
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    for row, seed.words in zip(rows, _seed_states(rng.master_seed, rng.stream_id, n_paths)):
+        bits = pcg64(seed)
+        gen = generator(bits)
         if beta != 1.0:
-            u[i] = math.pi * gen.random()  # == gen.uniform(0.0, math.pi), bit for bit
-            w[i] = gen.standard_exponential()
-        z[:, i] = gen.standard_normal(n_normals)
-    return u, w, z
+            u.append((bits.random_raw() >> 11) * 2.0 ** -53)
+            w.append(gen.standard_exponential())
+        gen.standard_normal(out=row)
+    return math.pi * np.array(u), np.array(w), rows.T
 
 
 def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int) -> np.ndarray:
@@ -366,17 +378,24 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
         root = _circulant_sqrt_spectrum(hurst, m)
 
     u, w, z = _draws(beta, rng, n_paths, 2 * m)
+    z = z.T  # one contiguous row of normals per path
 
     out = np.zeros((m + 1, n_paths))
-    # The 2m-point spectral draw is Hermitian: hfft reads only its first
-    # m + 1 entries, and the normals are freed before the transform.
-    v = np.empty((m + 1, n_paths), dtype=complex)
-    v[[0, m]] = root[[0, m], None] * z[:2]
-    np.multiply(root[1:m, None], z[2:m + 1], out=v.real[1:m])
-    np.multiply(root[1:m, None], z[m + 1:], out=v.imag[1:m])
+    # The 2m-point spectral draw is Hermitian: only its first m + 1 entries
+    # are formed.  Its hfft is numpy's own, an unscaled irfft of the
+    # conjugate, here conjugated in place rather than copied; each buffer
+    # is freed once read.
+    v = np.empty((n_paths, m + 1), dtype=complex)
+    v[:, [0, m]] = root[[0, m]] * z[:, :2]
+    np.multiply(root[1:m], z[:, 2:m + 1], out=v.real[:, 1:m])
+    np.multiply(root[1:m], z[:, m + 1:], out=v.imag[:, 1:m])
     del z
-    fgn = np.fft.hfft(v, n=2 * m, axis=0)[:m] / math.sqrt(2 * m) * (1.0 / m) ** hurst
-    np.cumsum(fgn, axis=0, out=out[1:])
+    np.conjugate(v, out=v)
+    fgn = np.fft.irfft(v, n=2 * m, axis=1, norm="forward")[:, :m]
+    del v
+    fgn /= math.sqrt(2 * m)
+    fgn *= (1.0 / m) ** hurst
+    np.cumsum(fgn.T, axis=0, out=out[1:])
     # beta = 1 consumes no randomness, so the ggBm path then equals the
     # plain fBm path driven by the same substream.
     if beta != 1.0:
@@ -398,7 +417,8 @@ def sample_fbm_cholesky_batch(
         raise CapacityError(f"{m + 1} grid points exceed the Cholesky cap {CHOLESKY_MAX_POINTS}")
     with _PLAN_LOCK:
         factor = _cholesky_factor(hurst, grid)
-    z = _draws(1.0, rng, n_paths, m)[2]
+    # C order, as BLAS rounds a product by the layout of its operands.
+    z = np.ascontiguousarray(_draws(1.0, rng, n_paths, m)[2])
     out = np.zeros((m + 1, n_paths))
     out[1:] = factor @ z
     return out

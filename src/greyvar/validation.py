@@ -40,6 +40,7 @@ __all__ = [
 
 Z_PASS = 4.0
 _CHUNK = 25_000
+_CHUNK_NORMALS = 2 ** 22  # normals per batch: 32 MiB, and as much again per FFT buffer
 _MAX_CF_LEVEL = 12
 
 
@@ -88,13 +89,15 @@ def _means(
     stats: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[np.ndarray, List[float]]:
     """Mean and standard error of each row of stats(batch), a (rows, paths)
-    array, over n_paths ggBm paths in batches of at most _CHUNK; path d is
-    always drawn from substream rng.stream(d), whatever the chunk size."""
+    array, over n_paths ggBm paths in batches of at most _CHUNK paths and, past
+    one path, _CHUNK_NORMALS normals (2m per path); path d is always drawn from
+    substream rng.stream(d), whatever the chunk size."""
     if n_paths < 1:
         raise ParameterError(f"a check needs at least one path, got {n_paths}")
+    chunk = min(_CHUNK, max(1, _CHUNK_NORMALS // (2 * grid.n_increments)))
     sums = sq_sums = 0.0
-    for done in range(0, n_paths, _CHUNK):
-        rows = stats(sample_ggbm_batch(params, grid, rng.stream(done), min(_CHUNK, n_paths - done)))
+    for done in range(0, n_paths, chunk):
+        rows = stats(sample_ggbm_batch(params, grid, rng.stream(done), min(chunk, n_paths - done)))
         sums = sums + rows.sum(axis=1)
         sq_sums = sq_sums + (rows * rows).sum(axis=1)
     mean = sums / n_paths

@@ -469,6 +469,26 @@ class TestShell:
         cfg.write_text(json.dumps({"process": "ggbm", "alpha": 1.0, "beta": 1.0, "level": 3}))
         assert main(["sample", "--config", str(cfg)]) == EXIT_USAGE
 
+    def test_config_for_another_command_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        payload = {"command": "estimate", "alpha": 1.2, "beta": 0.7, "level": 10, "n_paths": 2, "master_seed": 5}
+        (tmp_path / "c.json").write_text(json.dumps(payload))
+        assert main(["sample", "--config", "c.json", "--out", "s.csv"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'estimate'" in err and "'sample'" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+        assert main(["variation", "--preset", "thm10-grid"]) == EXIT_USAGE
+        assert "'discriminate'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="'estimate'"):
+            run_config("sample", payload)
+
+    def test_config_naming_its_command_runs_and_echoes_it(self, tmp_path, capsys):
+        payload = {"command": "sample", "alpha": 1.2, "beta": 0.7, "level": 4, "n_paths": 2, "master_seed": 5}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["sample", "--config", str(cfg)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"] == payload
+
     def test_bad_field_is_usage_error(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"alpha": 3.0, "beta": 1.0, "level": 8,

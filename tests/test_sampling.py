@@ -91,6 +91,14 @@ class TestCholesky:
         assert a.values[0] == 0.0
         assert a.params == GreyParams.fbm(0.7)
 
+    @pytest.mark.parametrize("grid, n_paths", [(UniformGrid(100), 5), (DyadicGrid(6), 3), (UniformGrid(7), 1)])
+    def test_batch_is_factor_times_column_major_normals(self, grid, n_paths, rng):
+        # BLAS rounds by operand layout: the normals must reach it in C order.
+        z = _numpy_draws(1.0, rng, n_paths, grid.n_increments)[2]
+        expected = np.zeros((grid.n_increments + 1, n_paths))
+        expected[1:] = _cholesky_factor(0.6, grid) @ z
+        assert sample_fbm_cholesky_batch(0.6, grid, rng, n_paths).tobytes() == expected.tobytes()
+
     def test_capacity_guard(self, rng):
         with pytest.raises(CapacityError):
             sample_fbm_cholesky(0.5, DyadicGrid(13), rng)
@@ -471,6 +479,47 @@ def _full_fft_batch(hurst, beta, level, rng, n_paths):
     if beta != 1.0:
         out *= np.sqrt(sampling._mwright_log_kanter(beta, u, w))
     return out
+
+
+def _column_major_batch(hurst, beta, grid, rng, n_paths):
+    """The circulant batch with one column of normals and half spectrum per
+    path, transformed along axis 0: the reference for the path-major rows."""
+    m = grid.n_increments
+    root = _circulant_sqrt_spectrum(hurst, m)
+    u, w, z = _numpy_draws(beta, rng, n_paths, 2 * m)
+    out = np.zeros((m + 1, n_paths))
+    v = np.empty((m + 1, n_paths), dtype=complex)
+    v[[0, m]] = root[[0, m], None] * z[:2]
+    np.multiply(root[1:m, None], z[2:m + 1], out=v.real[1:m])
+    np.multiply(root[1:m, None], z[m + 1:], out=v.imag[1:m])
+    fgn = np.fft.hfft(v, n=2 * m, axis=0)[:m] / math.sqrt(2 * m) * (1.0 / m) ** hurst
+    np.cumsum(fgn, axis=0, out=out[1:])
+    if beta != 1.0:
+        out *= np.sqrt(sampling._mwright_log_kanter(beta, u, w))
+    return out
+
+
+class TestPathMajorDraws:
+    @pytest.mark.parametrize(
+        "grid", [DyadicGrid(0), DyadicGrid(1), DyadicGrid(6), DyadicGrid(10), UniformGrid(999)], ids=repr
+    )
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 1.0])
+    def test_batch_equals_column_major_reference(self, grid, beta):
+        params = GreyParams(1.2, beta)
+        rng = RngSpec(2 ** 64 + 3, 2 ** 32 - 4)
+        for n_paths in (0, 1, 7):
+            batch = sample_ggbm_batch(params, grid, rng, n_paths)
+            assert batch.shape == (grid.n_increments + 1, n_paths)
+            assert batch.flags.c_contiguous
+            expected = _column_major_batch(params.hurst, beta, grid, rng, n_paths)
+            assert batch.tobytes() == expected.tobytes(), n_paths
+
+    def test_kanter_u_from_the_raw_word_is_uniform_bit_for_bit(self):
+        bits = np.random.PCG64(np.random.SeedSequence(20260810))
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
+        u = math.pi * ((bits.random_raw(10 ** 5) >> np.uint64(11)) * 2.0 ** -53)
+        assert u.tobytes() == gen.uniform(0.0, math.pi, 10 ** 5).tobytes()
+        assert math.pi * ((bits.random_raw() >> 11) * 2.0 ** -53) == gen.uniform(0.0, math.pi)
 
 
 class TestSamplerPlans:

@@ -133,6 +133,19 @@ class TestMixingDecay:
         assert report.passed
 
 
+def _spy_sampler(monkeypatch):
+    """Replace the checks' sampler by a spy that records (grid, stream,
+    n_paths) and returns zero paths, so that no path is drawn."""
+    calls = []
+
+    def spy(params, grid, stream, n_paths):
+        calls.append((grid, stream, n_paths))
+        return np.zeros((grid.n_increments + 1, n_paths))
+
+    monkeypatch.setattr(validation, "sample_ggbm_batch", spy)
+    return calls
+
+
 def _forbidden(*args, **kwargs):
     raise AssertionError("no path may be sampled")
 
@@ -180,6 +193,29 @@ class TestCheckReport:
             assert row.empirical == float(mean)
             assert row.se == math.sqrt(max(sq - mean ** 2, 0.0) / n)
 
+    @pytest.mark.parametrize(
+        ("level", "n_paths", "chunks"),
+        [
+            (6, 20_000, [20_000]),  # validate-all's largest grid: one chunk
+            (6, 40_000, [25_000, 15_000]),
+            (7, 40_000, [16_384, 16_384, 7_232]),
+            (12, 25_001, [512] * 48 + [425]),
+            (22, 3, [1, 1, 1]),
+        ],
+    )
+    def test_means_chunks_hold_at_most_2_to_the_22_normals(self, level, n_paths, chunks, rng, monkeypatch):
+        calls = _spy_sampler(monkeypatch)
+        validation._means(GreyParams(1.2, 0.6), DyadicGrid(level), n_paths, rng, lambda b: b[-1:])
+        assert [n for _, _, n in calls] == chunks
+        assert {grid for grid, _, _ in calls} == {DyadicGrid(level)}
+        starts = np.cumsum([0] + chunks[:-1]).tolist()
+        assert [stream for _, stream, _ in calls] == [rng.stream(d) for d in starts]
+
+    def test_cf_check_on_a_level_12_gap_draws_small_chunks(self, rng, monkeypatch):
+        calls = _spy_sampler(monkeypatch)
+        spec = CfCheckSpec((1.0,), 0.0, 2.0 ** -12, 25_000)
+        assert check_increment_cf(GreyParams(1.2, 0.6), spec, rng).rows[0].empirical_re == 1.0
+        assert [(grid, n) for grid, _, n in calls] == [(DyadicGrid(12), 512)] * 48 + [(DyadicGrid(12), 424)]
 
 class TestChecksWithoutRows:
     def test_cf_needs_a_frequency(self):
