@@ -195,8 +195,6 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     elif process == "fbm-cholesky":
         draw = partial(sample_fbm_cholesky, _field(cfg, "hurst", float), grid)
     elif process == "fbm-circulant":
-        if not isinstance(grid, DyadicGrid):
-            raise ConfigError("fbm-circulant requires a dyadic grid")
         draw = partial(sample_ggbm, GreyParams.fbm(_field(cfg, "hurst", float)), grid)
     else:
         raise ConfigError(f"unknown process {process!r}")

@@ -8,10 +8,13 @@ cap) is the independent reference for it.  Also: one-sided stable and
 M-Wright subordinator samplers.
 
 Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
-batch core draws path i from substream i, path-major: its normals fill one
-contiguous row and the FFT runs along the rows, and path i is column i of
-the returned (n_points, n_paths) C-ordered array.  A single path is a batch
-of one, and a batch column equals the single-path call bit for bit.
+batch core draws path i from substream i, path-major and in blocks of paths
+of at most 2^16 half-spectrum entries (one path where a path is longer):
+each path's normals fill one contiguous row, the FFT runs along the rows
+back into them, and they are summed into column i of the returned
+(n_points, n_paths) C-ordered array.  A batch thus holds its output and one
+block.  A single path is a batch of one, and a batch column equals the
+single-path call bit for bit.
 
 Each grid's plan is built once, under one lock across threads: the
 circulant square-root spectrum is cached per (hurst, grid size), the 8 most
@@ -347,7 +350,7 @@ def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
     without their dtype dispatch.
 
     A function of its own so that the last generator, whose PCG64 holds a
-    view of the whole batch's seed array, is freed before the FFT.
+    view of the block's seed array, is freed when it returns.
     """
     rows = np.empty((n_paths, n_normals))
     u, w = [], []
@@ -364,11 +367,20 @@ def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
     return math.pi * np.array(u), np.array(w), rows.T
 
 
+# Half-spectrum entries per block of a circulant batch: 1 MiB of complex
+# spectrum and as much of normals, however many paths the batch has.
+_BLOCK_ENTRIES = 2 ** 16
+
+
 def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int) -> np.ndarray:
     """(n_points, n_paths) batch of sqrt(Y) times fBm by circulant embedding,
-    column i from rng.stream(i), as in sample_ggbm."""
-    if n_paths < 0:
-        raise ParameterError(f"n_paths must be nonnegative, got {n_paths}")
+    column i from rng.stream(i), as in sample_ggbm.
+
+    Paths are drawn in blocks of _BLOCK_ENTRIES // (m + 1) paths, at least one:
+    each block's normals are transformed back into their own rows and summed
+    into its columns of the output, so a batch holds its output and one block.
+    """
+    n_paths = _as_int(n_paths, 0, "n_paths")
     m = grid.n_increments
     if m > 2 ** CIRCULANT_MAX_LEVEL:
         raise CapacityError(f"grid size {m} exceeds the circulant cap 2^{CIRCULANT_MAX_LEVEL}")
@@ -377,29 +389,31 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
     with _PLAN_LOCK:
         root = _circulant_sqrt_spectrum(hurst, m)
 
-    u, w, z = _draws(beta, rng, n_paths, 2 * m)
-    z = z.T  # one contiguous row of normals per path
-
+    block = max(1, _BLOCK_ENTRIES // (m + 1))
+    # The reused spectrum comes before the output, which outlives the call:
+    # in the other order the peak resident memory of a run of long single
+    # paths is about 0.3 MB higher.
+    spectrum = np.empty((min(block, n_paths), m + 1), dtype=complex)
     out = np.zeros((m + 1, n_paths))
-    # The 2m-point spectral draw is Hermitian: only its first m + 1 entries
-    # are formed.  Its hfft is numpy's own, an unscaled irfft of the
-    # conjugate, here conjugated in place rather than copied; each buffer
-    # is freed once read.
-    v = np.empty((n_paths, m + 1), dtype=complex)
-    v[:, [0, m]] = root[[0, m]] * z[:, :2]
-    np.multiply(root[1:m], z[:, 2:m + 1], out=v.real[:, 1:m])
-    np.multiply(root[1:m], z[:, m + 1:], out=v.imag[:, 1:m])
-    del z
-    np.conjugate(v, out=v)
-    fgn = np.fft.irfft(v, n=2 * m, axis=1, norm="forward")[:, :m]
-    del v
-    fgn /= math.sqrt(2 * m)
-    fgn *= (1.0 / m) ** hurst
-    np.cumsum(fgn.T, axis=0, out=out[1:])
-    # beta = 1 consumes no randomness, so the ggBm path then equals the
-    # plain fBm path driven by the same substream.
-    if beta != 1.0:
-        out *= np.sqrt(_mwright_log_kanter(beta, u, w))
+    for lo in range(0, n_paths, block):
+        hi = min(lo + block, n_paths)
+        u, w, z = _draws(beta, rng.stream(lo), hi - lo, 2 * m)
+        z, v = z.T, spectrum[:hi - lo]  # one row of normals and of spectrum per path
+        # The 2m-point spectral draw is Hermitian: only its first m + 1
+        # entries are formed.  Its hfft is numpy's own, an unscaled irfft of
+        # the conjugate, here conjugated in place rather than copied.
+        v[:, [0, m]] = root[[0, m]] * z[:, :2]
+        np.multiply(root[1:m], z[:, 2:m + 1], out=v.real[:, 1:m])
+        np.multiply(root[1:m], z[:, m + 1:], out=v.imag[:, 1:m])
+        np.conjugate(v, out=v)
+        fgn = np.fft.irfft(v, n=2 * m, axis=1, norm="forward", out=z)[:, :m]
+        fgn /= math.sqrt(2 * m)
+        fgn *= (1.0 / m) ** hurst
+        np.cumsum(fgn.T, axis=0, out=out[1:, lo:hi])
+        # beta = 1 consumes no randomness, so the ggBm path then equals the
+        # plain fBm path driven by the same substream.
+        if beta != 1.0:
+            out[:, lo:hi] *= np.sqrt(_mwright_log_kanter(beta, u, w))
     return out
 
 
@@ -410,8 +424,7 @@ def sample_fbm_cholesky_batch(
     i from rng.stream(i), up to CHOLESKY_MAX_POINTS grid points: the independent
     reference for the circulant sampler, with which it shares only the substreams."""
     hurst = GreyParams.fbm(hurst).hurst
-    if n_paths < 0:
-        raise ParameterError(f"n_paths must be nonnegative, got {n_paths}")
+    n_paths = _as_int(n_paths, 0, "n_paths")
     m = grid.n_increments
     if m + 1 > CHOLESKY_MAX_POINTS:
         raise CapacityError(f"{m + 1} grid points exceed the Cholesky cap {CHOLESKY_MAX_POINTS}")

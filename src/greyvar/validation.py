@@ -40,7 +40,9 @@ __all__ = [
 
 Z_PASS = 4.0
 _CHUNK = 25_000
-_CHUNK_NORMALS = 2 ** 22  # normals per batch: 32 MiB, and as much again per FFT buffer
+# Normals per chunk, 2m per path: the chunk's batch holds about half as many
+# floats of output (16 MiB), as the sampler draws the normals in small blocks.
+_CHUNK_NORMALS = 2 ** 22
 _MAX_CF_LEVEL = 12
 
 

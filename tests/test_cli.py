@@ -268,6 +268,12 @@ class TestSampleCommand:
         paths, header = load_bundle(res["files"][0])
         assert len(paths) == 2 and header["n_paths"] == 2
 
+    def test_fbm_circulant_on_a_uniform_grid_is_ggbm_at_beta_one(self):
+        base = {"grid": "uniform", "n": 999, "n_paths": 2, "master_seed": 13}
+        fbm = cmd_sample({**base, "process": "fbm-circulant", "hurst": 0.6})
+        ggbm = cmd_sample({**base, "process": "ggbm", "alpha": 1.2, "beta": 1.0})
+        assert fbm["checksum"] == ggbm["checksum"]
+
     def test_unknown_process(self):
         from greyvar.cli import ConfigError
 

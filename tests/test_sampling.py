@@ -462,6 +462,20 @@ class TestBatchSize:
             draw(-1, rng)
         assert draw(0, rng).shape == (n_points, 0)
 
+    @pytest.mark.parametrize("value", [True, 2.0, "2", np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda n, rng: sample_ggbm_batch(GreyParams(1.2, 0.7), DyadicGrid(3), rng, n),
+            lambda n, rng: sample_fbm_cholesky_batch(0.6, UniformGrid(5), rng, n),
+        ],
+        ids=["ggbm", "fbm-cholesky"],
+    )
+    def test_non_integer_count_names_n_paths(self, draw, value, rng):
+        with pytest.raises(ParameterError, match="n_paths must be an integer"):
+            draw(value, rng)
+        assert draw(np.int64(2), rng).tobytes() == draw(2, rng).tobytes()
+
 
 def _full_fft_batch(hurst, beta, level, rng, n_paths):
     """A circulant batch through the full 2m-point complex FFT of the
@@ -520,6 +534,69 @@ class TestPathMajorDraws:
         u = math.pi * ((bits.random_raw(10 ** 5) >> np.uint64(11)) * 2.0 ** -53)
         assert u.tobytes() == gen.uniform(0.0, math.pi, 10 ** 5).tobytes()
         assert math.pi * ((bits.random_raw() >> 11) * 2.0 ** -53) == gen.uniform(0.0, math.pi)
+
+
+def _block(grid):
+    """Paths per block of a circulant batch on grid."""
+    return max(1, sampling._BLOCK_ENTRIES // (grid.n_increments + 1))
+
+
+class TestStreamedBlocks:
+    RNG = RngSpec(2 ** 64 + 5, 2 ** 32 - 9)
+
+    @pytest.mark.parametrize(
+        "grid", [DyadicGrid(0), DyadicGrid(6), DyadicGrid(10), UniformGrid(999)], ids=repr
+    )
+    @pytest.mark.parametrize("beta", [0.3, 1.0])
+    def test_blocks_equal_column_major_reference(self, grid, beta):
+        params = GreyParams(1.2, beta)
+        block = _block(grid)
+        for n_paths in (1, block, block + 1, 3 * block + 5):
+            batch = sample_ggbm_batch(params, grid, self.RNG, n_paths)
+            assert batch.flags.c_contiguous
+            expected = _column_major_batch(params.hurst, beta, grid, self.RNG, n_paths)
+            assert batch.tobytes() == expected.tobytes(), n_paths
+
+    @pytest.mark.parametrize("grid", [DyadicGrid(6), UniformGrid(999)], ids=repr)
+    def test_columns_equal_single_paths_across_block_edges(self, grid):
+        params = GreyParams(1.2, 0.6)
+        block = _block(grid)
+        batch = sample_ggbm_batch(params, grid, self.RNG, 2 * block + 3)
+        for i in (0, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 2):
+            single = sample_ggbm(params, grid, self.RNG.stream(i)).values
+            assert batch[:, i].tobytes() == single.tobytes(), i
+
+    @pytest.mark.parametrize("grid", [DyadicGrid(6), DyadicGrid(16), UniformGrid(999)], ids=repr)
+    def test_draws_once_per_block(self, grid, monkeypatch):
+        calls = []
+        draws = sampling._draws
+
+        def spy(beta, rng, n_paths, n_normals):
+            calls.append((rng.stream_id, n_paths, n_normals))
+            return draws(beta, rng, n_paths, n_normals)
+
+        monkeypatch.setattr(sampling, "_draws", spy)
+        block = _block(grid)  # one path past 2^16 - 1 increments
+        n_paths = 2 * block + 3
+        sample_ggbm_batch(GreyParams(1.2, 0.7), grid, self.RNG, n_paths)
+        assert calls == [
+            (self.RNG.stream_id + lo, min(block, n_paths - lo), 2 * grid.n_increments)
+            for lo in range(0, n_paths, block)
+        ]
+
+    @pytest.mark.parametrize("n_paths, bound_mib", [(10_000, 10), (20_000, 16)])
+    def test_batch_peak_holds_output_and_one_block(self, n_paths, bound_mib):
+        # The whole-batch draw peaked at 25.1 and 50.0 MiB: normals, half
+        # spectrum and output at once.  The output alone is 4.96 / 9.92 MiB.
+        params = GreyParams(1.2, 0.7)
+        sample_ggbm_batch(params, DyadicGrid(6), self.RNG, 10)
+        tracemalloc.start()
+        try:
+            sample_ggbm_batch(params, DyadicGrid(6), self.RNG, n_paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2 ** 20
 
 
 class TestSamplerPlans:
