@@ -28,13 +28,12 @@ from .inference import (
     BetaRegion,
     Candidate,
     Label,
+    _beta_from_sums,
     _check_discrimination,
     _check_level_range,
     discriminate,
     distinguishability_check,
     estimate_alpha,
-    estimate_beta,
-    estimate_beta_pooled,
     region_for,
 )
 from .params import GreyParams
@@ -57,7 +56,13 @@ from .validation import (
     check_settings,
     special_identity_report,
 )
-from .variation import _check_exponent, _check_levels, variation_sequence, variation_trichotomy
+from .variation import (
+    _check_exponent,
+    _check_levels,
+    p_variation_sum,
+    variation_sequence,
+    variation_trichotomy,
+)
 
 __all__ = ["main", "run_config", "load_preset", "PRESET_NAMES"]
 
@@ -309,21 +314,24 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
             "alpha_se": a.std_error,
             "alpha_boundary": a.boundary,
         }
+        # The critical sum is all that the per-path and pooled beta read,
+        # so the path is dropped here.
+        v = p_variation_sum(path, 2.0 / alpha).value
         try:
-            b = estimate_beta(path, alpha, region)
+            b = _beta_from_sums(alpha, [v], region)
             row.update(beta_hat=b.beta_hat, beta_boundary=b.boundary, beta_error=None)
         except GreyVarError as exc:
             row.update(beta_hat=None, beta_boundary=None, beta_error=type(exc).__name__)
-        return row, path
+        return row, v
 
     pairs = _pmap(one, range(n_paths), threads)
     rows = [r for r, _ in pairs]
-    paths = [pth for _, pth in pairs]
+    sums = [v for _, v in pairs]
 
     alpha_hats = np.array([r["alpha_hat"] for r in rows])
     beta_hats = [r["beta_hat"] for r in rows if r["beta_hat"] is not None]
     try:
-        pooled = estimate_beta_pooled(paths, alpha, region)
+        pooled = _beta_from_sums(alpha, sums, region)
         pooled_dict = {"beta_hat": pooled.beta_hat, "boundary": pooled.boundary}
     except GreyVarError as exc:
         pooled_dict = {"error": type(exc).__name__}
@@ -368,31 +376,36 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
             else:
                 skipped.append({"pair": [j, k], "reason": check.reason})
 
+    # Path i of candidate c comes from substream c * n_paths + i. It is drawn
+    # once, and every pair that holds c decides on it.
+    pairs_of = {c: [pair for pair in pairs if c in pair] for c in range(len(candidates))}
+    drawn = [c for c in pairs_of if pairs_of[c]]
+
+    def one(n: int) -> tuple:
+        c, i = drawn[n // n_paths], n % n_paths
+        path = sample_ggbm(candidates[c].params, DyadicGrid(level), base.stream(c * n_paths + i))
+        decisions = (discriminate(path, candidates[j], candidates[k], threshold) for j, k in pairs_of[c])
+        return tuple(d if record_decisions else d.label for d in decisions)
+
+    rows = _pmap(one, range(len(drawn) * n_paths), threads)
+    rows_of = {c: rows[n * n_paths : (n + 1) * n_paths] for n, c in enumerate(drawn)}
+
     matrix = []
-    stream = 0
-    for j, k in pairs:
-        for truth in (j, k):
-            offset = stream
-            stream += n_paths
-
-            def one(i: int, truth=truth, j=j, k=k, offset=offset):
-                path = sample_ggbm(
-                    candidates[truth].params, DyadicGrid(level), base.stream(offset + i)
-                )
-                return discriminate(path, candidates[j], candidates[k], threshold)
-
-            decisions = _pmap(one, range(n_paths), threads)
-            labels = [d.label for d in decisions]
+    for pair in pairs:
+        for truth in pair:
+            slot = pairs_of[truth].index(pair)
+            outcomes = [row[slot] for row in rows_of[truth]]
+            labels = [d.label for d in outcomes] if record_decisions else outcomes
             counts = {label.value: labels.count(label) for label in Label}
-            correct = counts["first"] if truth == j else counts["second"]
+            correct = counts["first"] if truth == pair[0] else counts["second"]
             entry = {
-                "pair": [j, k],
+                "pair": list(pair),
                 "truth": truth,
                 "counts": counts,
                 "accuracy": correct / n_paths,
             }
             if record_decisions:
-                entry["decisions"] = [d.to_dict() for d in decisions]
+                entry["decisions"] = [d.to_dict() for d in outcomes]
             matrix.append(entry)
 
     results = {

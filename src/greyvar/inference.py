@@ -250,7 +250,13 @@ def _beta_estimate(alpha: float, paths: Sequence[SamplePath], region: BetaRegion
     """Beta from the mean critical variation of paths at known alpha."""
     if not (0.0 < alpha < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    v = float(np.mean([p_variation_sum(p, 2.0 / alpha).value for p in paths]))
+    return _beta_from_sums(alpha, [p_variation_sum(p, 2.0 / alpha).value for p in paths], region)
+
+
+def _beta_from_sums(alpha: float, sums: Sequence[float], region: BetaRegion) -> BetaEstimate:
+    """Beta from the mean of critical variation sums, V at p = 2/alpha, at an
+    alpha already checked to lie in (0, 2)."""
+    v = float(np.mean(sums))
     if v <= 0.0:
         raise InputError("critical variation must be positive")
     target = gamma(1.0 / alpha + 1.0) * normal_abs_moment(2.0 / alpha) / v

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -21,16 +22,26 @@ from greyvar.cli import (
     main,
     run_config,
 )
-from greyvar.errors import InputError, NumericalError, ParameterError, PreconditionError
+from greyvar.errors import GreyVarError, InputError, NumericalError, ParameterError, PreconditionError
 from greyvar.inference import (
     BetaRegion,
     Candidate,
     discriminate,
+    distinguishability_check,
     estimate_alpha,
     estimate_beta,
+    estimate_beta_pooled,
+    region_for,
 )
 from greyvar.params import GreyParams
-from greyvar.sampling import DyadicGrid, SamplePath, UniformGrid, sample_ggbm, sample_ggbm_batch
+from greyvar.sampling import (
+    DyadicGrid,
+    RngSpec,
+    SamplePath,
+    UniformGrid,
+    sample_ggbm,
+    sample_ggbm_batch,
+)
 from greyvar.serialize import (
     atomic_write_bytes,
     dump_report,
@@ -917,3 +928,140 @@ class TestCommandsCheckSettingsFirst:
         with pytest.raises(error, match=match):
             run_config(command, {**base, **cfg, "master_seed": 1})
         assert drawn == []
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Pair (0, 3) is identical and skipped; (0, 1) has equal alpha.
+_FOUR = [[1.0, 0.3], [1.0, 0.9], [1.4, 0.7], [1.0, 0.3]]
+
+
+def _discriminate_cfg(candidates, n_paths=3, **extra) -> dict:
+    return {
+        "candidates": candidates,
+        "level": 8,
+        "n_paths": n_paths,
+        "threshold": 0.5,
+        "master_seed": 19,
+        **extra,
+    }
+
+
+class TestCandidateMajorDiscrimination:
+    """Path i of candidate c comes from substream c * n_paths + i; it is
+    drawn once and serves every pair that holds c."""
+
+    @staticmethod
+    def _reference(cfg, offset):
+        """The matrix from a loop over `discriminate`, in (pair, truth) order,
+        where entry e reads its truth's paths from substreams offset(e, truth) + i."""
+        cands = [Candidate(GreyParams(a, b)) for a, b in cfg["candidates"]]
+        base = RngSpec(cfg["master_seed"])
+        n = cfg["n_paths"]
+        matrix = []
+        for j in range(len(cands)):
+            for k in range(j + 1, len(cands)):
+                if not distinguishability_check(cands[j], cands[k]):
+                    continue
+                for truth in (j, k):
+                    start = offset(len(matrix), truth)
+                    decisions = [
+                        discriminate(
+                            sample_ggbm(cands[truth].params, DyadicGrid(cfg["level"]), base.stream(start + i)),
+                            cands[j],
+                            cands[k],
+                            cfg["threshold"],
+                        )
+                        for i in range(n)
+                    ]
+                    labels = [d.label.value for d in decisions]
+                    counts = {v: labels.count(v) for v in ("first", "second", "inconclusive")}
+                    matrix.append(
+                        {
+                            "pair": [j, k],
+                            "truth": truth,
+                            "counts": counts,
+                            "accuracy": counts["first" if truth == j else "second"] / n,
+                            "decisions": [d.to_dict() for d in decisions],
+                        }
+                    )
+        return matrix
+
+    def test_four_candidates_equal_a_loop_over_candidate_substreams(self):
+        cfg = _discriminate_cfg(_FOUR, record_decisions=True)
+        res = cmd_discriminate(cfg)
+        assert res["matrix"] == self._reference(cfg, lambda entry, truth: truth * 3)
+        assert [s["pair"] for s in res["skipped_pairs"]] == [[0, 3]]
+
+    def test_two_candidates_keep_the_pair_major_layout(self):
+        # Pair-major draws read substreams entry * n_paths + i for matrix entry e.
+        cfg = _discriminate_cfg([[1.0, 1.0], [1.6, 1.0]], n_paths=4, record_decisions=True)
+        assert cmd_discriminate(cfg)["matrix"] == self._reference(cfg, lambda entry, truth: entry * 4)
+
+    @pytest.mark.parametrize(
+        ("candidates", "drawn_candidates"),
+        [(_FOUR, [0, 1, 2, 3]), ([[1.0, 0.5], [1.0, 0.5], [1.0, 0.5]], [])],
+        ids=["four-candidates", "no-distinguishable-pair"],
+    )
+    def test_each_candidate_path_drawn_once(self, candidates, drawn_candidates, monkeypatch):
+        drawn = []
+
+        def spy(params, grid, rng):
+            drawn.append((params, rng.stream_id))
+            return sample_ggbm(params, grid, rng)
+
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", spy)
+        cmd_discriminate(_discriminate_cfg(candidates))
+        assert drawn == [(GreyParams(*candidates[c]), 3 * c + i) for c in drawn_candidates for i in range(3)]
+
+    def test_threads_do_not_change_results(self):
+        cfg = _discriminate_cfg(_FOUR, record_decisions=True)
+        assert len({dump_report(cmd_discriminate(cfg, threads=t)) for t in (1, 2, 4)}) == 1
+
+    def test_traced_peak_holds_labels_not_decisions(self):
+        # Keeping a Decision per (path, pair) here peaks at about 5.8 MiB.
+        cfg = load_preset("thm10-grid")
+        cfg.pop("command")
+        cfg.update(level=8, n_paths=1000)
+        assert _traced_peak(lambda: cmd_discriminate(cfg)) < 4 * 2**20
+
+
+class TestEstimateKeepsCriticalSums:
+    @pytest.mark.parametrize("seed", [22, 25], ids=["pooled-solved", "pooled-no-solution"])
+    def test_results_equal_the_library_on_each_path(self, seed):
+        cfg = {"alpha": 1.0, "beta": 0.5, "level": 10, "n_paths": 6, "fit_levels": [6, 10], "master_seed": seed}
+        res = cmd_estimate(cfg)
+        params = GreyParams(1.0, 0.5)
+        region = region_for(params)
+        paths = [sample_ggbm(params, DyadicGrid(10), RngSpec(seed).stream(i)) for i in range(6)]
+        for row, path in zip(res["rows"], paths):
+            a = estimate_alpha(path, 1.0, (6, 10))
+            assert (row["alpha_hat"], row["alpha_se"], row["alpha_boundary"]) == (
+                a.alpha_hat,
+                a.std_error,
+                a.boundary,
+            )
+            try:
+                b = estimate_beta(path, 1.0, region)
+                assert (row["beta_hat"], row["beta_boundary"], row["beta_error"]) == (b.beta_hat, b.boundary, None)
+            except GreyVarError as exc:
+                assert (row["beta_hat"], row["beta_error"]) == (None, type(exc).__name__)
+        try:
+            pooled = estimate_beta_pooled(paths, 1.0, region)
+            expected = {"beta_hat": pooled.beta_hat, "boundary": pooled.boundary}
+        except GreyVarError as exc:
+            expected = {"error": type(exc).__name__}
+        assert res["summary"]["pooled_beta"] == expected
+
+    def test_traced_peak_is_below_the_paths(self):
+        # 100 level-14 paths alone hold 12.5 MiB.
+        cfg = {"alpha": 1.2, "beta": 0.6, "level": 14, "n_paths": 100, "master_seed": 23}
+        assert _traced_peak(lambda: cmd_estimate(cfg)) < 4 * 2**20
