@@ -315,9 +315,10 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
             "alpha_boundary": a.boundary,
         }
         # The critical sum is all that the per-path and pooled beta read,
-        # so the path is dropped here.
-        v = p_variation_sum(path, 2.0 / alpha).value
+        # so the path is dropped here.  A sum that overflows is None.
+        v = None
         try:
+            v = p_variation_sum(path, 2.0 / alpha).value
             b = _beta_from_sums(alpha, [v], region)
             row.update(beta_hat=b.beta_hat, beta_boundary=b.boundary, beta_error=None)
         except GreyVarError as exc:
@@ -330,11 +331,14 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
 
     alpha_hats = np.array([r["alpha_hat"] for r in rows])
     beta_hats = [r["beta_hat"] for r in rows if r["beta_hat"] is not None]
-    try:
-        pooled = _beta_from_sums(alpha, sums, region)
-        pooled_dict = {"beta_hat": pooled.beta_hat, "boundary": pooled.boundary}
-    except GreyVarError as exc:
-        pooled_dict = {"error": type(exc).__name__}
+    if None in sums:
+        pooled_dict = {"error": NumericalError.__name__}
+    else:
+        try:
+            pooled = _beta_from_sums(alpha, sums, region)
+            pooled_dict = {"beta_hat": pooled.beta_hat, "boundary": pooled.boundary}
+        except GreyVarError as exc:
+            pooled_dict = {"error": type(exc).__name__}
     results = {
         "rows": rows,
         "summary": {

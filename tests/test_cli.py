@@ -1035,11 +1035,15 @@ class TestCandidateMajorDiscrimination:
 
 
 class TestEstimateKeepsCriticalSums:
-    @pytest.mark.parametrize("seed", [22, 25], ids=["pooled-solved", "pooled-no-solution"])
-    def test_results_equal_the_library_on_each_path(self, seed):
-        cfg = {"alpha": 1.0, "beta": 0.5, "level": 10, "n_paths": 6, "fit_levels": [6, 10], "master_seed": seed}
+    @pytest.mark.parametrize(
+        "alpha, beta, seed, pooled_error",
+        [(1.0, 0.5, 22, None), (1.0, 0.5, 25, "NoSolutionError"), (0.002, 1.0, 5, "NumericalError")],
+        ids=["pooled-solved", "pooled-no-solution", "critical-sum-overflows"],
+    )
+    def test_results_equal_the_library_on_each_path(self, alpha, beta, seed, pooled_error):
+        cfg = {"alpha": alpha, "beta": beta, "level": 10, "n_paths": 6, "fit_levels": [6, 10], "master_seed": seed}
         res = cmd_estimate(cfg)
-        params = GreyParams(1.0, 0.5)
+        params = GreyParams(alpha, beta)
         region = region_for(params)
         paths = [sample_ggbm(params, DyadicGrid(10), RngSpec(seed).stream(i)) for i in range(6)]
         for row, path in zip(res["rows"], paths):
@@ -1050,12 +1054,13 @@ class TestEstimateKeepsCriticalSums:
                 a.boundary,
             )
             try:
-                b = estimate_beta(path, 1.0, region)
+                b = estimate_beta(path, alpha, region)
                 assert (row["beta_hat"], row["beta_boundary"], row["beta_error"]) == (b.beta_hat, b.boundary, None)
             except GreyVarError as exc:
                 assert (row["beta_hat"], row["beta_error"]) == (None, type(exc).__name__)
+        assert res["summary"]["pooled_beta"].get("error") == pooled_error
         try:
-            pooled = estimate_beta_pooled(paths, 1.0, region)
+            pooled = estimate_beta_pooled(paths, alpha, region)
             expected = {"beta_hat": pooled.beta_hat, "boundary": pooled.boundary}
         except GreyVarError as exc:
             expected = {"error": type(exc).__name__}
