@@ -446,8 +446,9 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     cf = CfCheckSpec(thetas, s, t, n_paths)
     check_settings(cf, moment_t, orders, lags)
 
-    # Each check draws from its own stream offset, so the thread count
-    # cannot change the results.
+    # Each check draws from its own stream offset.  The checks run in order on
+    # the calling thread whatever `threads` is: their per-path generator loop
+    # holds the GIL, so a second thread only adds handoffs.
     tasks: List[Callable] = [special_identity_report]
     stream = 1_000_000
     for a, b in param_sets:
@@ -458,7 +459,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
             partial(check_mixing_decay, params, lags, n_paths, base.stream(stream + 2 * n_paths)),
         ]
         stream += 3 * n_paths
-    identities, *reports = _pmap(lambda task: task(), tasks, threads)
+    identities, *reports = [task() for task in tasks]
     checks = [identities] + [r.to_dict() for r in reports]
 
     results = {
@@ -498,6 +499,8 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
     if unknown:
         raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}")
     _output(cfg, "json")  # the shared fields, checked before any work
+    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     started = time.perf_counter()
     results = _COMMANDS[command](cfg, threads=threads)
     return {

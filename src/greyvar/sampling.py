@@ -13,8 +13,11 @@ of at most 2^16 half-spectrum entries (one path where a path is longer):
 each path's normals fill one contiguous row, the FFT runs along the rows
 back into them, and they are summed into column i of the returned
 (n_points, n_paths) C-ordered array.  A batch thus holds its output and one
-block.  A single path is a batch of one, and a batch column equals the
-single-path call bit for bit.
+block.  A block's normals and half spectrum are views of one work array per
+thread, kept for the thread's next draw while it holds at most one block
+(2^16 + 1 entries, about 2 MiB), so a run of paths faults no fresh pages for
+them; a longer path's is its call's alone.  A single path is a batch of one,
+and a batch column equals the single-path call bit for bit.
 
 Each grid's plan is built once, under one lock across threads: the
 circulant square-root spectrum is cached per (hurst, grid size), the 8 most
@@ -345,14 +348,18 @@ def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
     """Path i's Kanter U and W (beta < 1; empty at beta = 1), then its normals,
     from rng.stream(i).  The normals come back as an (n_normals, n_paths) view:
     each path fills one contiguous row of a C-ordered (n_paths, n_normals)
-    array in place.  U is pi times the raw PCG64 word as numpy's next_double
-    forms it, which equals gen.random() and gen.uniform(0, pi) bit for bit
-    without their dtype dispatch.
+    block in place, at the tail of the calling thread's work array where that
+    holds them (see _fbm_batch) and in a new array otherwise.  U is pi times
+    the raw PCG64 word as numpy's next_double forms it, which equals
+    gen.random() and gen.uniform(0, pi) bit for bit without their dtype
+    dispatch.
 
     A function of its own so that the last generator, whose PCG64 holds a
     view of the block's seed array, is freed when it returns.
     """
-    rows = np.empty((n_paths, n_normals))
+    size = n_paths * n_normals
+    work = _work(size)
+    rows = work[len(work) - size:].reshape(n_paths, n_normals)
     u, w = [], []
     # One seed holder for the batch: a PCG64 reads its words at construction.
     seed = _SeedState(None)
@@ -370,6 +377,17 @@ def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
 # Half-spectrum entries per block of a circulant batch: 1 MiB of complex
 # spectrum and as much of normals, however many paths the batch has.
 _BLOCK_ENTRIES = 2 ** 16
+# Each thread's work array (.work): a block's half spectrum at its head and
+# its normals at its tail, 4m + 2 floats a path, kept between draws up to one
+# block of _BLOCK_ENTRIES + 1 entries (2 MiB).
+_SCRATCH = threading.local()
+_SCRATCH_KEEP = 4 * (_BLOCK_ENTRIES + 1)
+
+
+def _work(size: int) -> np.ndarray:
+    """The calling thread's work array if it holds size floats, else a new one."""
+    work = getattr(_SCRATCH, "work", None)
+    return work if work is not None and len(work) >= size else np.empty(size)
 
 
 def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int) -> np.ndarray:
@@ -378,7 +396,8 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
 
     Paths are drawn in blocks of _BLOCK_ENTRIES // (m + 1) paths, at least one:
     each block's normals are transformed back into their own rows and summed
-    into its columns of the output, so a batch holds its output and one block.
+    into its columns of the output, so a batch holds its output and one block,
+    in the thread's work array.
     """
     n_paths = _as_int(n_paths, 0, "n_paths")
     m = grid.n_increments
@@ -390,30 +409,37 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
         root = _circulant_sqrt_spectrum(hurst, m)
 
     block = max(1, _BLOCK_ENTRIES // (m + 1))
-    # The reused spectrum comes before the output, which outlives the call:
-    # in the other order the peak resident memory of a run of long single
-    # paths is about 0.3 MB higher.
-    spectrum = np.empty((min(block, n_paths), m + 1), dtype=complex)
-    out = np.zeros((m + 1, n_paths))
-    for lo in range(0, n_paths, block):
-        hi = min(lo + block, n_paths)
-        u, w, z = _draws(beta, rng.stream(lo), hi - lo, 2 * m)
-        z, v = z.T, spectrum[:hi - lo]  # one row of normals and of spectrum per path
-        # The 2m-point spectral draw is Hermitian: only its first m + 1
-        # entries are formed.  Its hfft is numpy's own, an unscaled irfft of
-        # the conjugate, here conjugated in place rather than copied.
-        v[:, [0, m]] = root[[0, m]] * z[:, :2]
-        np.multiply(root[1:m], z[:, 2:m + 1], out=v.real[:, 1:m])
-        np.multiply(root[1:m], z[:, m + 1:], out=v.imag[:, 1:m])
-        np.conjugate(v, out=v)
-        fgn = np.fft.irfft(v, n=2 * m, axis=1, norm="forward", out=z)[:, :m]
-        fgn /= math.sqrt(2 * m)
-        fgn *= (1.0 / m) ** hurst
-        np.cumsum(fgn.T, axis=0, out=out[1:, lo:hi])
-        # beta = 1 consumes no randomness, so the ggBm path then equals the
-        # plain fBm path driven by the same substream.
-        if beta != 1.0:
-            out[:, lo:hi] *= np.sqrt(_mwright_log_kanter(beta, u, w))
+    # A new work array comes before the output, which outlives the call: in
+    # the other order the peak resident memory of a run of long single paths
+    # is about 0.3 MB higher.
+    size = min(block, n_paths) * (4 * m + 2)
+    work = _SCRATCH.work = _work(size)
+    try:
+        out = np.zeros((m + 1, n_paths))
+        for lo in range(0, n_paths, block):
+            hi = min(lo + block, n_paths)
+            # One row of spectrum and of normals per path.
+            v = work[:2 * (hi - lo) * (m + 1)].view(complex).reshape(hi - lo, m + 1)
+            u, w, z = _draws(beta, rng.stream(lo), hi - lo, 2 * m)
+            z = z.T
+            # The 2m-point spectral draw is Hermitian: only its first m + 1
+            # entries are formed.  Its hfft is numpy's own, an unscaled irfft
+            # of the conjugate, here conjugated in place rather than copied.
+            v[:, [0, m]] = root[[0, m]] * z[:, :2]
+            np.multiply(root[1:m], z[:, 2:m + 1], out=v.real[:, 1:m])
+            np.multiply(root[1:m], z[:, m + 1:], out=v.imag[:, 1:m])
+            np.conjugate(v, out=v)
+            fgn = np.fft.irfft(v, n=2 * m, axis=1, norm="forward", out=z)[:, :m]
+            fgn /= math.sqrt(2 * m)
+            fgn *= (1.0 / m) ** hurst
+            np.cumsum(fgn.T, axis=0, out=out[1:, lo:hi])
+            # beta = 1 consumes no randomness, so the ggBm path then equals
+            # the plain fBm path driven by the same substream.
+            if beta != 1.0:
+                out[:, lo:hi] *= np.sqrt(_mwright_log_kanter(beta, u, w))
+    finally:
+        if size > _SCRATCH_KEEP:  # a path longer than one block keeps nothing
+            del _SCRATCH.work
     return out
 
 

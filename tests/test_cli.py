@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import threading
 import tracemalloc
 import zipfile
 
@@ -51,6 +52,7 @@ from greyvar.serialize import (
     save_bundle,
     table_csv,
 )
+from greyvar.validation import check_even_moments
 from greyvar.variation import variation_sequence
 
 
@@ -443,6 +445,20 @@ class TestValidateThreads:
         assert dump_report(a["results"]) == dump_report(b["results"])
         assert len(a["results"]["checks"]) == 7
 
+    def test_checks_run_on_the_calling_thread(self, monkeypatch):
+        idents = []
+
+        def spy(*args):
+            idents.append(threading.get_ident())
+            return check_even_moments(*args)
+
+        monkeypatch.setattr("greyvar.cli.check_even_moments", spy)
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
+        cfg = {"param_sets": [[1.0, 1.0], [1.2, 0.6]], "n_paths": 10_000, "thetas": [1.0],
+               "moment_orders": [2], "lags": [1], "master_seed": 21}
+        run_config("validate", cfg, threads=2)
+        assert idents == [threading.get_ident()] * 2
+
 
 class TestPathCount:
     @pytest.mark.parametrize(
@@ -770,6 +786,16 @@ class TestMalformedConfig:
         assert main(["validate", "--config", str(path), "--format", "csv", "--out", str(out)]) == EXIT_USAGE
         assert "'format'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", [0, -2, True, 2.5, "2", None], ids=repr)
+    def test_run_config_thread_count(self, threads, monkeypatch):
+        # 0 and -2 ran serially and True and 2.5 ran; "2" and None raised a
+        # bare TypeError from _pmap.
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
+        cfg = dict(self.BASE["sample"], n_paths=2, master_seed=1)
+        with pytest.raises(ConfigError, match="threads must be an integer >= 1"):
+            run_config("sample", cfg, threads=threads)
 
     @pytest.mark.parametrize(
         ("flags", "env"),

@@ -1,8 +1,11 @@
 import math
 import pickle
 import sys
+import threading
 import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -597,6 +600,84 @@ class TestStreamedBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2 ** 20
+
+
+class TestThreadScratch:
+    """Each thread draws its blocks in one kept work array (sampling._SCRATCH)."""
+
+    RNG = RngSpec(2 ** 64 + 7, 2 ** 32 - 5)
+    PARAMS = GreyParams(1.2, 0.6)
+    # Grow the kept array, draw blocks of many paths and a shorter path in
+    # it, and draw the first path again.
+    DRAWS = [(DyadicGrid(16), 1), (DyadicGrid(6), 2 * _block(DyadicGrid(6)) + 3),
+             (DyadicGrid(14), 1), (DyadicGrid(16), 1)]
+
+    def test_same_thread_draws_equal_the_reference(self):
+        for grid, n_paths in self.DRAWS:
+            expected = _column_major_batch(self.PARAMS.hurst, self.PARAMS.beta, grid, self.RNG, n_paths)
+            if n_paths == 1:
+                got = sample_ggbm(self.PARAMS, grid, self.RNG).values[:, None]
+            else:
+                got = sample_ggbm_batch(self.PARAMS, grid, self.RNG, n_paths)
+            assert got.tobytes() == expected.tobytes(), (grid, n_paths)
+
+    def test_two_threads_draw_the_serial_bytes(self):
+        jobs = [(grid, n_paths, self.RNG.stream(10 ** 6 * k))
+                for k, (grid, n_paths) in enumerate(self.DRAWS * 3 + [(UniformGrid(999), 40)] * 4)]
+
+        def draw(job):
+            grid, n_paths, rng = job
+            return sample_ggbm_batch(self.PARAMS, grid, rng, n_paths).tobytes()
+
+        serial = [draw(job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(draw, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    @pytest.mark.parametrize("level", [14, 16])
+    def test_warm_single_path_allocates_its_output(self, level):
+        # Before the kept work array: 0.63 and 2.50 MiB against outputs of
+        # 0.125 and 0.5 MiB, as the normals and spectrum were new each path.
+        grid = DyadicGrid(level)
+        sample_ggbm(self.PARAMS, grid, self.RNG)
+        tracemalloc.start()
+        try:
+            path = sample_ggbm(self.PARAMS, grid, self.RNG.stream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.values.nbytes + 0.1 * 2 ** 20
+
+    def test_long_path_keeps_nothing(self):
+        # Build the L18 spectrum plan, then keep an L16 path's work array.
+        sample_ggbm(self.PARAMS, DyadicGrid(18), self.RNG)
+        sample_ggbm(self.PARAMS, DyadicGrid(16), self.RNG)
+        tracemalloc.start()
+        try:
+            path = sample_ggbm(self.PARAMS, DyadicGrid(18), self.RNG)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= path.values.nbytes + 2 ** 14
+        assert getattr(sampling._SCRATCH, "work", np.empty(0)).size <= sampling._SCRATCH_KEEP
+
+    def test_thread_scratch_goes_with_the_thread(self):
+        kept = []
+
+        def draw():
+            sample_ggbm(self.PARAMS, DyadicGrid(10), self.RNG)
+            kept.append(weakref.ref(sampling._SCRATCH.work))
+
+        worker = threading.Thread(target=draw)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(kept) == 1
+        assert kept[0]() is None
 
 
 class TestSamplerPlans:
