@@ -42,9 +42,6 @@ from .sampling import (
     RngSpec,
     SamplePath,
     UniformGrid,
-    fbm_covariance,
-    sample_fbm_cholesky,
-    sample_fbm_cholesky_batch,
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,

@@ -41,9 +41,7 @@ from .sampling import (
     DyadicGrid,
     Grid,
     RngSpec,
-    SamplePath,
     UniformGrid,
-    sample_fbm_cholesky,
     sample_ggbm,
 )
 from .serialize import atomic_write_text, dump_report, path_to_csv, save_bundle, table_csv
@@ -186,25 +184,21 @@ def _reads(*keys: str):
 # ---------------------------------------------------------------- sample
 
 
-@_reads("process", "grid", "level", "n", "n_paths", "alpha", "beta", "hurst")
+@_reads("process", "grid", "level", "n", "n_paths", "alpha", "beta")
 def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     process = _field(cfg, "process", str, required=False, default="ggbm")
+    if process != "ggbm":
+        raise ConfigError(
+            f"unknown process {process!r}: the one process is 'ggbm', "
+            "and fBm is 'ggbm' with alpha = 2 * hurst and beta: 1"
+        )
     grid = _grid_from(cfg)
     n_paths = _n_paths(cfg, 1)
     out, fmt = _output(cfg, "csv")
     base = _seed_spec(cfg)
-    draw: Callable[[RngSpec], SamplePath]
-    if process == "ggbm":
-        params = GreyParams(_field(cfg, "alpha", float), _field(cfg, "beta", float))
-        draw = partial(sample_ggbm, params, grid)
-    elif process == "fbm-cholesky":
-        draw = partial(sample_fbm_cholesky, _field(cfg, "hurst", float), grid)
-    elif process == "fbm-circulant":
-        draw = partial(sample_ggbm, GreyParams.fbm(_field(cfg, "hurst", float)), grid)
-    else:
-        raise ConfigError(f"unknown process {process!r}")
+    params = GreyParams(_field(cfg, "alpha", float), _field(cfg, "beta", float))
 
-    paths = _pmap(lambda i: draw(base.stream(i)), range(n_paths), threads)
+    paths = _pmap(lambda i: sample_ggbm(params, grid, base.stream(i)), range(n_paths), threads)
     checksum = hashlib.sha256(b"".join(p.values.tobytes() for p in paths)).hexdigest()
     results: dict = {
         "n_paths": n_paths,
@@ -554,7 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 with open(args.config) as handle:
                     cfg = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int too long to convert
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         elif args.preset:
             cfg = load_preset(args.preset)

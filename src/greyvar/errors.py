@@ -23,8 +23,8 @@ class DegenerateDistributionError(ParameterError):
 
 
 class CapacityError(GreyVarError):
-    """The request exceeds a documented size guard: 2^24 increments for the
-    circulant ggBm sampler, 4,097 points for the Cholesky reference sampler."""
+    """The request exceeds a documented size guard, such as the 2^24
+    increments of the circulant ggBm sampler."""
 
 
 class PreconditionError(GreyVarError):

@@ -3,9 +3,8 @@
 Grey Brownian paths, sqrt(Y) times fBm with one M-Wright draw Y per path,
 are drawn by circulant embedding on every grid up to 2^24 increments: the
 minimal embedding of fGn is nonnegative for every size and H (Dietrich &
-Newsam 1997; Craigmile 2003).  A dense Cholesky fBm sampler (4,097-point
-cap) is the independent reference for it.  Also: one-sided stable and
-M-Wright subordinator samplers.
+Newsam 1997; Craigmile 2003).  fBm is the case beta = 1.  Also: one-sided
+stable and M-Wright subordinator samplers.
 
 Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
 batch core draws path i from substream i, path-major and in blocks of paths
@@ -21,9 +20,8 @@ and a batch column equals the single-path call bit for bit.
 
 Each grid's plan is built once, under one lock across threads: the
 circulant square-root spectrum is cached per (hurst, grid size), the 8 most
-recent, and the Cholesky factor of the most recent (hurst, grid) only.
-A circulant draw is one hfft of the half spectrum: the spectral draw is
-Hermitian, so only its first m + 1 of 2m entries are formed.
+recent.  A circulant draw is one hfft of the half spectrum: the spectral
+draw is Hermitian, so only its first m + 1 of 2m entries are formed.
 
 Substream i is numpy's PCG64 seeded by SeedSequence(entropy=master_seed,
 spawn_key=(stream_id + i,)).  The SeedSequence hash of a whole batch runs in
@@ -50,16 +48,12 @@ __all__ = [
     "UniformGrid",
     "Grid",
     "SamplePath",
-    "fbm_covariance",
-    "sample_fbm_cholesky",
-    "sample_fbm_cholesky_batch",
     "sample_one_sided_stable",
     "sample_mwright",
     "sample_ggbm",
     "sample_ggbm_batch",
 ]
 
-CHOLESKY_MAX_POINTS = 2 ** 12 + 1
 CIRCULANT_MAX_LEVEL = 24
 
 
@@ -271,40 +265,6 @@ class SamplePath:
         return self.grid.level
 
 
-def fbm_covariance(hurst: float, s: float, t: float) -> float:
-    """Covariance (s^2H + t^2H - |t-s|^2H) / 2 of standard fBm."""
-    hurst = GreyParams.fbm(hurst).hurst
-    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
-        raise ParameterError("times must lie in [0, 1]")
-    h2 = 2.0 * hurst
-    return 0.5 * (s ** h2 + t ** h2 - abs(t - s) ** h2)
-
-
-# One factor only: at the Cholesky cap a factor is 134 MB, and building one
-# already holds the covariance and the factor together.
-@functools.lru_cache(maxsize=1)
-def _cholesky_factor(hurst: float, grid: Grid) -> np.ndarray:
-    """Lower Cholesky factor of the fBm covariance on grid.times()[1:];
-    read-only, as threads share it."""
-    times = grid.times()[1:]
-    h2 = 2.0 * hurst
-    t = times[:, None]
-    s = times[None, :]
-    cov = 0.5 * (t ** h2 + s ** h2 - np.abs(t - s) ** h2)
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.max(np.diag(cov)))
-        try:
-            factor = np.linalg.cholesky(cov + jitter * np.eye(len(times)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"fBm covariance not positive definite even with jitter (H={hurst})"
-            ) from exc
-    factor.flags.writeable = False
-    return factor
-
-
 def _fgn_autocovariance(hurst: float, k: np.ndarray) -> np.ndarray:
     """Autocovariance ((k+1)^2H - 2k^2H + |k-1|^2H) / 2 of unit-spacing fGn at
     increasing lags k >= 0.  From lag 8 on, where that form cancels (terms
@@ -400,9 +360,14 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
     in the thread's work array.
     """
     n_paths = _as_int(n_paths, 0, "n_paths")
+    # A dyadic grid is checked by its level: 2^level is not formed past the cap.
+    if isinstance(grid, DyadicGrid):
+        over, size = grid.level > CIRCULANT_MAX_LEVEL, f"2^{grid.level}"
+    else:
+        over, size = grid.n > 2 ** CIRCULANT_MAX_LEVEL, grid.n
+    if over:
+        raise CapacityError(f"grid size {size} exceeds the circulant cap 2^{CIRCULANT_MAX_LEVEL}")
     m = grid.n_increments
-    if m > 2 ** CIRCULANT_MAX_LEVEL:
-        raise CapacityError(f"grid size {m} exceeds the circulant cap 2^{CIRCULANT_MAX_LEVEL}")
     # Build the plan first: its temporaries are freed before the normals exist.
     # The lock keeps threads that miss the cache at once from each building it.
     with _PLAN_LOCK:
@@ -441,32 +406,6 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
         if size > _SCRATCH_KEEP:  # a path longer than one block keeps nothing
             del _SCRATCH.work
     return out
-
-
-def sample_fbm_cholesky_batch(
-    hurst: float, grid: Grid, rng: RngSpec, n_paths: int
-) -> np.ndarray:
-    """(n_points, n_paths) exact fBm batch by dense Cholesky factorisation, column
-    i from rng.stream(i), up to CHOLESKY_MAX_POINTS grid points: the independent
-    reference for the circulant sampler, with which it shares only the substreams."""
-    hurst = GreyParams.fbm(hurst).hurst
-    n_paths = _as_int(n_paths, 0, "n_paths")
-    m = grid.n_increments
-    if m + 1 > CHOLESKY_MAX_POINTS:
-        raise CapacityError(f"{m + 1} grid points exceed the Cholesky cap {CHOLESKY_MAX_POINTS}")
-    with _PLAN_LOCK:
-        factor = _cholesky_factor(hurst, grid)
-    # C order, as BLAS rounds a product by the layout of its operands.
-    z = np.ascontiguousarray(_draws(1.0, rng, n_paths, m)[2])
-    out = np.zeros((m + 1, n_paths))
-    out[1:] = factor @ z
-    return out
-
-
-def sample_fbm_cholesky(hurst: float, grid: Grid, rng: RngSpec) -> SamplePath:
-    """Exact fBm draw on an arbitrary grid by dense Cholesky factorisation."""
-    values = sample_fbm_cholesky_batch(hurst, grid, rng, 1)[:, 0]
-    return SamplePath(grid=grid, values=values, params=GreyParams.fbm(hurst), seed=rng)
 
 
 def _kanter_log_y(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from greyvar import sampling
+from greyvar.errors import ParameterError
+from greyvar.params import GreyParams
 from greyvar.sampling import RngSpec
 
 MASTER_SEED = 20260810
@@ -28,3 +31,29 @@ def mwright_cutoff(beta, log_cut=21.0):
     """tau where the M-Wright tail exp(-b tau^(1/(1-beta))) reaches exp(-log_cut)."""
     b = (1.0 - beta) * beta ** (beta / (1.0 - beta))
     return (log_cut / b) ** (1.0 - beta)
+
+
+def fbm_covariance(hurst, s, t):
+    """Covariance (s^2H + t^2H - |t-s|^2H) / 2 of standard fBm at times s, t
+    in [0, 1], elementwise over arrays."""
+    h2 = 2.0 * GreyParams.fbm(hurst).hurst
+    if not np.all((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)):
+        raise ParameterError("times must lie in [0, 1]")
+    return 0.5 * (s ** h2 + t ** h2 - np.abs(t - s) ** h2)
+
+
+def fbm_cholesky_batch(hurst, grid, rng, n_paths):
+    """(n_points, n_paths) exact fBm batch by dense Cholesky factorisation,
+    column i from rng.stream(i): the independent oracle for the circulant
+    sampler, with which it shares only the substreams (sampling._draws)."""
+    times = grid.times()[1:]
+    cov = fbm_covariance(hurst, times[:, None], times[None, :])
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        factor = np.linalg.cholesky(cov + 1e-12 * float(np.max(np.diag(cov))) * np.eye(len(times)))
+    # C order, as BLAS rounds a product by the layout of its operands.
+    z = np.ascontiguousarray(sampling._draws(1.0, rng, n_paths, len(times))[2])
+    out = np.zeros((len(times) + 1, n_paths))
+    out[1:] = factor @ z
+    return out

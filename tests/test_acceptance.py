@@ -26,8 +26,6 @@ from greyvar.params import GreyParams
 from greyvar.sampling import (
     DyadicGrid,
     RngSpec,
-    fbm_covariance,
-    sample_fbm_cholesky_batch,
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,
@@ -43,7 +41,7 @@ from greyvar.validation import (
 )
 from greyvar.variation import variation_sequence
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, fbm_cholesky_batch, fbm_covariance
 
 BASE = RngSpec(MASTER_SEED, 0)
 
@@ -117,7 +115,7 @@ def test_criterion_02_mwright_sampler_moments():
 def _fbm_exactness():
     rows = []
     for k, hurst in enumerate((0.3, 0.5, 0.7)):
-        batch = sample_fbm_cholesky_batch(
+        batch = fbm_cholesky_batch(
             hurst, DyadicGrid(8), BASE.stream(20_000 + 200_000 * k), 100_000
         )
         prod = batch[128] * batch[256]

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 import zipfile
@@ -253,8 +256,9 @@ class TestSampleCommand:
 
     def test_multi_csv_and_determinism(self, tmp_path):
         cfg = {
-            "process": "fbm-circulant",
-            "hurst": 0.7,
+            "process": "ggbm",
+            "alpha": 1.4,
+            "beta": 1.0,
             "grid": "dyadic",
             "level": 5,
             "n_paths": 3,
@@ -269,8 +273,9 @@ class TestSampleCommand:
 
     def test_bundle_output(self, tmp_path):
         cfg = {
-            "process": "fbm-cholesky",
-            "hurst": 0.4,
+            "process": "ggbm",
+            "alpha": 0.8,
+            "beta": 1.0,
             "grid": "uniform",
             "n": 10,
             "n_paths": 2,
@@ -281,11 +286,38 @@ class TestSampleCommand:
         paths, header = load_bundle(res["files"][0])
         assert len(paths) == 2 and header["n_paths"] == 2
 
-    def test_fbm_circulant_on_a_uniform_grid_is_ggbm_at_beta_one(self):
-        base = {"grid": "uniform", "n": 999, "n_paths": 2, "master_seed": 13}
-        fbm = cmd_sample({**base, "process": "fbm-circulant", "hurst": 0.6})
-        ggbm = cmd_sample({**base, "process": "ggbm", "alpha": 1.2, "beta": 1.0})
-        assert fbm["checksum"] == ggbm["checksum"]
+    @pytest.mark.parametrize("process", ["fbm-cholesky", "fbm-circulant"])
+    def test_retired_fbm_process_exits_2(self, process, tmp_path, capsys, monkeypatch):
+        # A config of the old form names its 'hurst' field as unknown; without
+        # it, the error names the replacement.
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
+        old = {"process": process, "hurst": 0.6, "grid": "uniform", "n": 999, "n_paths": 2, "master_seed": 13}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(old))
+        assert main(["sample", "--config", str(path)]) == EXIT_USAGE
+        assert "'hurst'" in capsys.readouterr().err
+        del old["hurst"]
+        path.write_text(json.dumps(old))
+        assert main(["sample", "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'ggbm'" in err and "alpha = 2 * hurst" in err and "beta: 1" in err
+
+    def test_checksum_does_not_depend_on_blas_threads(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"process": "ggbm", "alpha": 1.2, "beta": 0.7, "grid": "uniform", "n": 999, "n_paths": 2, "master_seed": 5}
+        ))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        checksums = []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-m", "greyvar.cli", "sample", "--config", str(cfg)],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            checksums.append(json.loads(run.stdout)["results"]["checksum"])
+        assert checksums[0] == checksums[1]
 
     def test_unknown_process(self):
         from greyvar.cli import ConfigError
@@ -680,8 +712,7 @@ class TestConfigKeys:
 
     # With VALID, these reach every branch that reads a field.
     BRANCHES = [
-        ("sample", {"process": "fbm-cholesky", "grid": "uniform", "n": 5, "hurst": 0.6}),
-        ("sample", {"process": "fbm-circulant", "level": 3, "hurst": 0.6}),
+        ("sample", {"process": "ggbm", "grid": "uniform", "n": 5, "alpha": 1.0, "beta": 1.0}),
         ("validate", {"alpha": 1.0, "beta": 1.0, "n_paths": 10_000}),
     ]
 
@@ -772,11 +803,33 @@ class TestMalformedConfig:
         assert repr(key) in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
-    def test_sample_checks_process_before_any_path(self, monkeypatch):
+    @pytest.mark.parametrize("process", ["ou", "fbm-cholesky", "fbm-circulant"])
+    def test_sample_checks_process_before_any_path(self, process, monkeypatch):
         monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
-        cfg = {"process": "ou", "level": 3, "n_paths": 2, "master_seed": 1}
-        with pytest.raises(ConfigError, match="process"):
+        cfg = {"process": process, "level": 3, "n_paths": 2, "master_seed": 1}
+        with pytest.raises(ConfigError, match="process") as raised:
             run_config("sample", cfg, threads=2)
+        assert "'ggbm'" in str(raised.value) and "beta: 1" in str(raised.value)
+
+    @pytest.mark.parametrize("command", ["sample", "estimate"])
+    @pytest.mark.parametrize("level", [25, 14_285, 10 ** 9])
+    def test_level_past_the_cap_is_usage_error(self, command, level, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**self.BASE[command], "level": level, "master_seed": 1}))
+        code = []
+        peak = _traced_peak(lambda: code.append(main([command, "--config", str(path)])))
+        assert code == [EXIT_USAGE]
+        assert f"grid size 2^{level} exceeds the circulant cap 2^24" in capsys.readouterr().err
+        assert peak < 2 ** 20
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int conversion limit")
+    def test_integer_too_long_to_convert_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
+        path = tmp_path / "c.json"
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        path.write_text(json.dumps({**self.BASE["sample"], "master_seed": 1})[:-1] + f', "n_paths": {digits}}}')
+        assert main(["sample", "--config", str(path)]) == EXIT_USAGE
+        assert "config is not valid JSON" in capsys.readouterr().err
 
     def test_validate_rejects_csv(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("greyvar.cli._pmap", _forbidden)

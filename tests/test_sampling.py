@@ -21,14 +21,10 @@ from greyvar.sampling import (
     RngSpec,
     SamplePath,
     UniformGrid,
-    _cholesky_factor,
     _circulant_sqrt_spectrum,
     _fgn_autocovariance,
     _seed_states,
     _substreams,
-    fbm_covariance,
-    sample_fbm_cholesky,
-    sample_fbm_cholesky_batch,
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,
@@ -37,6 +33,7 @@ from greyvar.sampling import (
 from greyvar.special import mwright_moment
 from greyvar.variation import p_variation_sum
 
+from conftest import fbm_cholesky_batch, fbm_covariance
 
 
 class TestCovariance:
@@ -63,8 +60,6 @@ class TestCovariance:
 
 def test_fbm_samplers_check_hurst_first(rng):
     for call in (
-        lambda: sample_fbm_cholesky(1.0, DyadicGrid(13), rng),
-        lambda: sample_fbm_cholesky_batch(1.0, UniformGrid(5000), rng, 2),
         lambda: sample_ggbm(GreyParams.fbm(0.0), DyadicGrid(25), rng),
         lambda: sample_ggbm_batch(GreyParams.fbm(float("nan")), DyadicGrid(25), rng, 2),
     ):
@@ -87,36 +82,31 @@ class TestSamplePath:
 
 
 class TestCholesky:
+    """The dense Cholesky oracle of tests/conftest.py."""
+
     def test_determinism(self, rng):
-        a = sample_fbm_cholesky(0.7, DyadicGrid(6), rng)
-        b = sample_fbm_cholesky(0.7, DyadicGrid(6), rng)
-        assert np.array_equal(a.values, b.values)
-        assert a.values[0] == 0.0
-        assert a.params == GreyParams.fbm(0.7)
+        a = fbm_cholesky_batch(0.7, DyadicGrid(6), rng, 1)[:, 0]
+        b = fbm_cholesky_batch(0.7, DyadicGrid(6), rng, 1)[:, 0]
+        assert np.array_equal(a, b)
+        assert a[0] == 0.0
 
     @pytest.mark.parametrize("grid, n_paths", [(UniformGrid(100), 5), (DyadicGrid(6), 3), (UniformGrid(7), 1)])
-    def test_batch_is_factor_times_column_major_normals(self, grid, n_paths, rng):
-        # BLAS rounds by operand layout: the normals must reach it in C order.
-        z = _numpy_draws(1.0, rng, n_paths, grid.n_increments)[2]
-        expected = np.zeros((grid.n_increments + 1, n_paths))
-        expected[1:] = _cholesky_factor(0.6, grid) @ z
-        assert sample_fbm_cholesky_batch(0.6, grid, rng, n_paths).tobytes() == expected.tobytes()
-
-    def test_capacity_guard(self, rng):
-        with pytest.raises(CapacityError):
-            sample_fbm_cholesky(0.5, DyadicGrid(13), rng)
-        with pytest.raises(CapacityError):
-            sample_fbm_cholesky(0.5, UniformGrid(5000), rng)
+    def test_batch_is_factor_times_column_major_normals(self, grid, n_paths, rng, monkeypatch):
+        # BLAS rounds by operand layout: the normals must reach it in C order,
+        # as numpy's own draws, one column per path, do.
+        got = fbm_cholesky_batch(0.6, grid, rng, n_paths)
+        monkeypatch.setattr(sampling, "_draws", _numpy_draws)
+        assert got.tobytes() == fbm_cholesky_batch(0.6, grid, rng, n_paths).tobytes()
 
     def test_brownian_increment_variance(self, rng):
-        batch = sample_fbm_cholesky_batch(0.5, DyadicGrid(10), rng, 10_000)
+        batch = fbm_cholesky_batch(0.5, DyadicGrid(10), rng, 10_000)
         inc = np.diff(batch, axis=0)
         var = inc.var()
         se = inc.var() * math.sqrt(2.0 / inc.size)
         assert abs(var - 2.0 ** -10) <= 4.0 * se
 
     def test_covariance_h07(self, rng):
-        batch = sample_fbm_cholesky_batch(0.7, DyadicGrid(4), rng.stream(50), 30_000)
+        batch = fbm_cholesky_batch(0.7, DyadicGrid(4), rng.stream(50), 30_000)
         prod = batch[8] * batch[16]
         se = prod.std() / math.sqrt(len(prod))
         assert abs(prod.mean() - fbm_covariance(0.7, 0.5, 1.0)) <= 4.0 * se
@@ -128,11 +118,21 @@ class TestCirculant:
         b = sample_ggbm(GreyParams.fbm(0.3), DyadicGrid(8), rng)
         assert np.array_equal(a.values, b.values)
 
-    def test_level_guard(self, rng):
-        with pytest.raises(CapacityError):
-            sample_ggbm(GreyParams.fbm(0.5), DyadicGrid(25), rng)
-        with pytest.raises(CapacityError):
-            sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(25), rng)
+    @pytest.mark.parametrize("level", [25, 14_285, 10 ** 9])
+    def test_level_guard(self, level, rng):
+        # 2^14285 has more digits than Python converts to text, and 2^(10^9)
+        # takes 125 MB: the level is checked before 2^level is formed.
+        match = rf"grid size 2\^{level} exceeds the circulant cap 2\^24"
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=match):
+                sample_ggbm(GreyParams.fbm(0.5), DyadicGrid(level), rng)
+            with pytest.raises(CapacityError, match=match):
+                sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(level), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_cached_spectrum_is_shared_and_read_only(self):
         root = _circulant_sqrt_spectrum(0.7, 16)
@@ -157,7 +157,7 @@ class TestCirculant:
     @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.7])
     def test_agrees_with_cholesky(self, hurst, rng):
         n = 10_000
-        chol = sample_fbm_cholesky_batch(hurst, DyadicGrid(10), rng.stream(300), n)
+        chol = fbm_cholesky_batch(hurst, DyadicGrid(10), rng.stream(300), n)
         circ = sample_ggbm_batch(GreyParams.fbm(hurst), DyadicGrid(10), rng.stream(300 + n), n)
         stat = ks_2samp(np.diff(chol, axis=0)[0], np.diff(circ, axis=0)[0])
         assert stat.pvalue > 0.001
@@ -312,7 +312,6 @@ class TestGgbm:
             raise AssertionError("sample_ggbm reached a Cholesky factorisation")
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
-        _cholesky_factor.cache_clear()
         path = sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(999), rng)
         assert len(path.values) == 1000
 
@@ -455,10 +454,9 @@ class TestBatchSize:
         "draw, n_points",
         [
             (lambda n, rng: sample_ggbm_batch(GreyParams(1.2, 0.7), DyadicGrid(3), rng, n), 9),
-            (lambda n, rng: sample_fbm_cholesky_batch(0.6, UniformGrid(5), rng, n), 6),
             (lambda n, rng: sample_ggbm_batch(GreyParams.fbm(0.6), DyadicGrid(3), rng, n), 9),
         ],
-        ids=["ggbm", "fbm-cholesky", "fbm-circulant"],
+        ids=["ggbm", "fbm-circulant"],
     )
     def test_negative_rejected_zero_empty(self, draw, n_points, rng):
         with pytest.raises(ParameterError, match="n_paths"):
@@ -470,9 +468,8 @@ class TestBatchSize:
         "draw",
         [
             lambda n, rng: sample_ggbm_batch(GreyParams(1.2, 0.7), DyadicGrid(3), rng, n),
-            lambda n, rng: sample_fbm_cholesky_batch(0.6, UniformGrid(5), rng, n),
         ],
-        ids=["ggbm", "fbm-cholesky"],
+        ids=["ggbm"],
     )
     def test_non_integer_count_names_n_paths(self, draw, value, rng):
         with pytest.raises(ParameterError, match="n_paths must be an integer"):
@@ -694,14 +691,6 @@ class TestSamplerPlans:
             for i in range(n_paths):
                 single = sample_ggbm(params, DyadicGrid(level), rng.stream(i))
                 assert single.values.tobytes() == batch[:, i].tobytes()
-
-    def test_cholesky_factor_built_once_and_read_only(self):
-        grid = UniformGrid(100)
-        factor = _cholesky_factor(0.6, grid)
-        assert _cholesky_factor(0.6, UniformGrid(np.int64(100))) is factor
-        with pytest.raises(ValueError):
-            factor[0, 0] = 0.0
-        assert factor.tobytes() == _cholesky_factor.__wrapped__(0.6, grid).tobytes()
 
     @staticmethod
     def _count_spectrum_builds(monkeypatch):
