@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from importlib import resources
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -195,6 +194,8 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     grid = _grid_from(cfg)
     n_paths = _n_paths(cfg, 1)
     out, fmt = _output(cfg, "csv")
+    if fmt == "json":
+        raise ConfigError("sample writes CSV files or a .npz bundle: config field 'format' must be 'csv'")
     base = _seed_spec(cfg)
     params = GreyParams(_field(cfg, "alpha", float), _field(cfg, "beta", float))
 
@@ -212,13 +213,6 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     results["files"] = [out]
     if out.endswith(".npz"):
         save_bundle(out, paths, config=cfg)
-    elif fmt == "json":
-        payload = {
-            "times": list(map(float, grid.times())),
-            "paths": [list(map(float, p.values)) for p in paths],
-            "config": cfg,
-        }
-        atomic_write_text(out, json.dumps(payload, sort_keys=True))
     else:
         if n_paths > 1:
             stem, ext = os.path.splitext(out)
@@ -422,13 +416,11 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
 # -------------------------------------------------------------- validate
 
 
-@_reads("param_sets", "alpha", "beta", "n_paths", "thetas", "s", "t", "moment_orders", "moment_t", "lags")
+@_reads("param_sets", "n_paths", "thetas", "s", "t", "moment_orders", "moment_t", "lags")
 def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     if _output(cfg, "json")[1] == "csv":
         raise ConfigError("validate writes no table: config field 'format' must be 'json'")
-    param_sets = _field(cfg, "param_sets", [(float, float)], required=False)
-    if param_sets is None:
-        param_sets = [(_field(cfg, "alpha", float), _field(cfg, "beta", float))]
+    param_sets = [GreyParams(a, b) for a, b in _field(cfg, "param_sets", [(float, float)])]
     n_paths = _n_paths(cfg, 20000)
     thetas = tuple(_field(cfg, "thetas", [float], required=False, default=[0.0, 0.5, 1.0, 2.0]))
     s = _field(cfg, "s", float, required=False, default=0.5)
@@ -443,18 +435,14 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     # Each check draws from its own stream offset.  The checks run in order on
     # the calling thread whatever `threads` is: their per-path generator loop
     # holds the GIL, so a second thread only adds handoffs.
-    tasks: List[Callable] = [special_identity_report]
-    stream = 1_000_000
-    for a, b in param_sets:
-        params = GreyParams(a, b)
-        tasks += [
-            partial(check_increment_cf, params, cf, base.stream(stream)),
-            partial(check_even_moments, params, moment_t, orders, n_paths, base.stream(stream + n_paths)),
-            partial(check_mixing_decay, params, lags, n_paths, base.stream(stream + 2 * n_paths)),
+    checks = [special_identity_report()]
+    for k, params in enumerate(param_sets):
+        stream = 1_000_000 + 3 * k * n_paths
+        checks += [
+            check_increment_cf(params, cf, base.stream(stream)).to_dict(),
+            check_even_moments(params, moment_t, orders, n_paths, base.stream(stream + n_paths)).to_dict(),
+            check_mixing_decay(params, lags, n_paths, base.stream(stream + 2 * n_paths)).to_dict(),
         ]
-        stream += 3 * n_paths
-    identities, *reports = [task() for task in tasks]
-    checks = [identities] + [r.to_dict() for r in reports]
 
     results = {
         "checks": checks,
@@ -505,21 +493,6 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
     }
 
 
-def _resolve_threads(value: Optional[int]) -> int:
-    source = "--threads"
-    if value is None:
-        source, env = "GREYVAR_THREADS", os.environ.get("GREYVAR_THREADS")
-        if not env:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"GREYVAR_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greyvar",
@@ -534,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override master_seed")
         cmd.add_argument("--out", help="override output path")
         cmd.add_argument("--format", choices=["csv", "json"], help="override output format")
-        cmd.add_argument("--threads", type=int, help="worker threads (or GREYVAR_THREADS)")
+        cmd.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 
 
@@ -559,17 +532,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = dict(cfg)
         if args.seed is not None:
             cfg["master_seed"] = args.seed
-        if "master_seed" not in cfg:
-            raise ConfigError(
-                "config field 'master_seed' is required (no wall-clock seeding)"
-            )
         if args.out:
             cfg["out"] = args.out
         if args.format:
             cfg["format"] = args.format
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
-        report = run_config(args.command, cfg, threads=threads)
+        report = run_config(args.command, cfg, threads=args.threads)
         sys.stdout.write(dump_report(report) + "\n")
         return EXIT_OK
     except NumericalError as exc:

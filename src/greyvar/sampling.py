@@ -361,10 +361,13 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
     """
     n_paths = _as_int(n_paths, 0, "n_paths")
     # A dyadic grid is checked by its level: 2^level is not formed past the cap.
+    # A uniform size past 64 bits is named by its power of two, as an int of
+    # more than 4,300 digits cannot be formatted.
     if isinstance(grid, DyadicGrid):
         over, size = grid.level > CIRCULANT_MAX_LEVEL, f"2^{grid.level}"
     else:
-        over, size = grid.n > 2 ** CIRCULANT_MAX_LEVEL, grid.n
+        bits = grid.n.bit_length()
+        over, size = grid.n > 2 ** CIRCULANT_MAX_LEVEL, grid.n if bits <= 64 else f"at least 2^{bits - 1}"
     if over:
         raise CapacityError(f"grid size {size} exceeds the circulant cap 2^{CIRCULANT_MAX_LEVEL}")
     m = grid.n_increments

@@ -59,6 +59,9 @@ class CfCheckSpec:
         object.__setattr__(self, "thetas", tuple(float(x) for x in self.thetas))
         if not self.thetas:
             raise ParameterError("thetas must hold at least one frequency")
+        # theta^2 |t - s|^alpha / 2 is the Mittag-Leffler argument, and |t - s| <= 1.
+        if not all(math.isfinite(x * x) for x in self.thetas):
+            raise ParameterError(f"thetas must have finite squares, got {list(self.thetas)}")
         if self.s == self.t:
             raise ParameterError("s and t must differ")
         if not (0.0 <= self.s <= 1.0 and 0.0 <= self.t <= 1.0):

@@ -609,22 +609,11 @@ class TestShell:
         b = run_config("discriminate", dict(cfg), threads=4)
         assert dump_report(a["results"]) == dump_report(b["results"])
 
-    def test_env_thread_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("GREYVAR_THREADS", "2")
+    def test_environment_sets_no_thread_count(self, monkeypatch, tmp_path):
+        # GREYVAR_THREADS is retired: only --threads sets the thread count.
+        monkeypatch.setenv("GREYVAR_THREADS", "0")
         cfg = tmp_path / "c.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "process": "ggbm",
-                    "alpha": 1.0,
-                    "beta": 1.0,
-                    "grid": "dyadic",
-                    "level": 3,
-                    "n_paths": 2,
-                    "master_seed": 8,
-                }
-            )
-        )
+        cfg.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "level": 3, "n_paths": 2, "master_seed": 8}))
         assert main(["sample", "--config", str(cfg)]) == EXIT_OK
 
     def test_config_echo_round_trip(self, capsys, tmp_path):
@@ -713,7 +702,6 @@ class TestConfigKeys:
     # With VALID, these reach every branch that reads a field.
     BRANCHES = [
         ("sample", {"process": "ggbm", "grid": "uniform", "n": 5, "alpha": 1.0, "beta": 1.0}),
-        ("validate", {"alpha": 1.0, "beta": 1.0, "n_paths": 10_000}),
     ]
 
     class _Recorder(dict):
@@ -851,20 +839,33 @@ class TestMalformedConfig:
             run_config("sample", cfg, threads=threads)
 
     @pytest.mark.parametrize(
-        ("flags", "env"),
-        [(["--threads", "0"], None), (["--threads", "-4"], None), ([], "0")],
-        ids=["flag-0", "flag-negative", "env-0"],
+        "flags", [["--threads", "0"], ["--threads", "-4"]], ids=["flag-0", "flag-negative"]
     )
-    def test_thread_count_below_one(self, flags, env, tmp_path, monkeypatch, capsys):
+    def test_thread_count_below_one(self, flags, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
         monkeypatch.setattr("greyvar.cli.run_config", _forbidden)
-        monkeypatch.delenv("GREYVAR_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("GREYVAR_THREADS", env)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(self.BASE["sample"], master_seed=1)))
         assert main(["sample", "--config", str(path), *flags]) == EXIT_USAGE
         assert "threads" in capsys.readouterr().err.lower()
+
+    def test_validate_single_set_fields_are_retired(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("greyvar.cli.special_identity_report", _forbidden)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "n_paths": 10_000, "master_seed": 1}))
+        assert main(["validate", "--config", str(path)]) == EXIT_USAGE
+        assert "'alpha'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [None, "s.json", "s.npz"])
+    def test_sample_writes_no_json(self, out, tmp_path, monkeypatch):
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
+        cfg = dict(self.BASE["sample"], n_paths=2, master_seed=1, format="json")
+        if out:
+            cfg["out"] = str(tmp_path / out)
+        with pytest.raises(ConfigError, match="CSV files or a .npz bundle"):
+            run_config("sample", cfg, threads=2)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _cell_is(cell: str, value) -> bool:
@@ -945,6 +946,9 @@ class TestValidateChecksSettingsFirst:
             ("lags", [256], InputError, "capped"),
             ("lags", [0], InputError, "positive"),
             ("s", 0.3, InputError, "dyadic"),
+            ("thetas", [float("nan")], ParameterError, "thetas"),
+            ("thetas", [1e300], ParameterError, "thetas"),
+            ("param_sets", [[1.0, 1.0], [3.0, 0.5]], ParameterError, "alpha"),
         ],
     )
     def test_no_path_drawn_before_error(self, key, value, error, match, monkeypatch):

@@ -307,6 +307,17 @@ class TestGgbm:
             tracemalloc.stop()
         assert peak < 2 ** 20  # the cap is checked before any array is built
 
+    def test_uniform_size_too_long_to_format(self, rng):
+        # 10^5000 has more digits than Python converts to text.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"grid size at least 2\^16609 exceeds the circulant cap"):
+                sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(10 ** 5000), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_never_factorises(self, rng, monkeypatch):
         def refuse(a):
             raise AssertionError("sample_ggbm reached a Cholesky factorisation")
