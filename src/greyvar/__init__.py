@@ -45,7 +45,6 @@ from .sampling import (
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,
-    sample_one_sided_stable,
 )
 from .special import (
     ggbm_abs_moment,
@@ -68,7 +67,6 @@ from .variation import (
     VariationRecord,
     hoelder_dominance_bound,
     p_variation_sum,
-    renormalized_statistic,
     variation_sequence,
     variation_trichotomy,
 )

@@ -66,20 +66,15 @@ class Candidate:
 
     params: GreyParams
     mu: float = field(init=False)
-    p_crit: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mu", theoretical_variation_limit(self.params))
-        object.__setattr__(self, "p_crit", self.params.p_critical)
 
 
 @dataclass(frozen=True)
 class DistinguishabilityResult:
     distinguishable: bool
     reason: str
-    # whether both Gamma arguments beta/alpha + 1 sit on one side of the
-    # Gamma minimum; None when alpha differs (the criterion is not needed)
-    same_monotonicity_region: Optional[bool]
 
     def __bool__(self) -> bool:
         return self.distinguishable
@@ -100,14 +95,11 @@ def distinguishability_check(c1: Candidate, c2: Candidate) -> Distinguishability
     a1, b1 = c1.params.alpha, c1.params.beta
     a2, b2 = c2.params.alpha, c2.params.beta
     if not _isclose(a1, a2):
-        return DistinguishabilityResult(True, "alpha differs", None)
+        return DistinguishabilityResult(True, "alpha differs")
+    if _isclose(b1, b2):
+        return DistinguishabilityResult(False, "identical parameters")
     x1 = b1 / a1 + 1.0
     x2 = b2 / a2 + 1.0
-    same_region = (x1 <= GAMMA_ARGMIN and x2 <= GAMMA_ARGMIN) or (
-        x1 >= GAMMA_ARGMIN and x2 >= GAMMA_ARGMIN
-    )
-    if _isclose(b1, b2):
-        return DistinguishabilityResult(False, "identical parameters", same_region)
     g1 = gamma(x1)
     g2 = gamma(x2)
     if _isclose(g1, g2):
@@ -115,11 +107,8 @@ def distinguishability_check(c1: Candidate, c2: Candidate) -> Distinguishability
             False,
             f"equal alpha and Gamma({x1:.6g}) = Gamma({x2:.6g}); "
             "not distinguishable by the variation fingerprint",
-            same_region,
         )
-    return DistinguishabilityResult(
-        True, f"equal alpha, Gamma values differ ({g1:.6g} vs {g2:.6g})", same_region
-    )
+    return DistinguishabilityResult(True, f"equal alpha, Gamma values differ ({g1:.6g} vs {g2:.6g})")
 
 
 @dataclass(frozen=True)
@@ -369,8 +358,8 @@ def discriminate(
     top = path.dyadic_level
     _check_discrimination(top, threshold)
 
-    v1 = p_variation_sum(path, c1.p_crit).value
-    v2 = p_variation_sum(path, c2.p_crit).value
+    v1 = p_variation_sum(path, c1.params.p_critical).value
+    v2 = p_variation_sum(path, c2.params.p_critical).value
     d1 = abs(v1 - c1.mu) / c1.mu
     d2 = abs(v2 - c2.mu) / c2.mu
     decision = dict(v=(v1, v2), mu=(c1.mu, c2.mu), distances=(d1, d2), threshold=threshold)
@@ -383,8 +372,8 @@ def discriminate(
 
     lo = max(1, top - 6)
     decision["drift_levels"] = (lo, top)
-    w1 = variation_sequence(path, c1.p_crit, [lo])[0].value
-    w2 = variation_sequence(path, c2.p_crit, [lo])[0].value
+    w1 = variation_sequence(path, c1.params.p_critical, [lo])[0].value
+    w2 = variation_sequence(path, c2.params.p_critical, [lo])[0].value
     if min(v1, v2, w1, w2) <= 0.0:
         return Decision(Label.INCONCLUSIVE, **decision)
     flat1 = abs(math.log2(v1 / w1))

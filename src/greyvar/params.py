@@ -13,7 +13,8 @@ class GreyParams:
 
     alpha in (0, 2) sets the scaling exponent (Hurst index H = alpha/2),
     beta in (0, 1] selects the subordinator law; beta = 1 recovers
-    fractional Brownian motion and alpha = beta = 1 plain Brownian motion.
+    fractional Brownian motion, GreyParams(2 * hurst, 1.0), and
+    alpha = beta = 1 plain Brownian motion.
     """
 
     alpha: float
@@ -34,9 +35,3 @@ class GreyParams:
         """Exponent at which the dyadic variation has a finite positive limit."""
         return 2.0 / self.alpha
 
-    @classmethod
-    def fbm(cls, hurst: float) -> "GreyParams":
-        """Parameters of the fBm special case with the given Hurst index."""
-        if not (0.0 < hurst < 1.0):
-            raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-        return cls(alpha=2.0 * hurst, beta=1.0)

@@ -3,8 +3,8 @@
 Grey Brownian paths, sqrt(Y) times fBm with one M-Wright draw Y per path,
 are drawn by circulant embedding on every grid up to 2^24 increments: the
 minimal embedding of fGn is nonnegative for every size and H (Dietrich &
-Newsam 1997; Craigmile 2003).  fBm is the case beta = 1.  Also: one-sided
-stable and M-Wright subordinator samplers.
+Newsam 1997; Craigmile 2003).  fBm is the case beta = 1, that is
+GreyParams(2H, 1.0).  Also: the M-Wright subordinator sampler.
 
 Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
 batch core draws path i from substream i, path-major and in blocks of paths
@@ -48,7 +48,6 @@ __all__ = [
     "UniformGrid",
     "Grid",
     "SamplePath",
-    "sample_one_sided_stable",
     "sample_mwright",
     "sample_ggbm",
     "sample_ggbm_batch",
@@ -436,30 +435,6 @@ def _mwright_log_kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray
     return np.exp(_kanter_log_y(beta, u, w))
 
 
-def _kanter_draws(beta: float, gen: np.random.Generator, size: int) -> np.ndarray:
-    return _mwright_log_kanter(beta, gen.uniform(0.0, math.pi, size), gen.standard_exponential(size))
-
-
-def sample_one_sided_stable(beta: float, rng: RngSpec, size: Optional[int] = None):
-    """Strictly positive stable draw(s) with E[exp(-s S)] = exp(-s^beta).
-
-    Kanter's exact representation: S = (a(U)/W)^((1-beta)/beta) with U
-    uniform on (0, pi) and W unit exponential, computed as Y^(-1/beta) from
-    the M-Wright draw Y = S^-beta.  Raises NumericalError when a draw falls
-    outside the positive normal doubles, as happens for beta near 0.
-    """
-    if not (0.0 < beta < 1.0):
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    n = 1 if size is None else _as_int(size, 0, "size")
-    y = _kanter_draws(beta, rng.generator(), n)
-    log2_s = -np.log2(y) / beta
-    outside = np.count_nonzero((log2_s < -1022.0) | (log2_s >= 1024.0))  # not a normal double
-    if outside:
-        raise NumericalError(f"beta={beta}: {outside} of {len(y)} stable draws out of double range")
-    draws = y ** (-1.0 / beta)
-    return float(draws[0]) if size is None else draws
-
-
 def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
     """Draw(s) of the M-Wright subordinator Y: S^(-beta) for one-sided
     stable S, which has density M_beta; beta = 1 is the unit point mass."""
@@ -468,7 +443,8 @@ def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
     n = 1 if size is None else _as_int(size, 0, "size")
     if beta == 1.0:
         return 1.0 if size is None else np.ones(n)
-    draws = _kanter_draws(beta, rng.generator(), n)
+    gen = rng.generator()
+    draws = _mwright_log_kanter(beta, gen.uniform(0.0, math.pi, n), gen.standard_exponential(n))
     return float(draws[0]) if size is None else draws
 
 
@@ -478,7 +454,7 @@ def sample_ggbm(params: GreyParams, grid: Grid, rng: RngSpec) -> SamplePath:
 
     Every grid is drawn by circulant embedding, and more than 2^24
     increments is a CapacityError.  Y is drawn before the Gaussian block,
-    from the same substream; with beta = 1 none is, so GreyParams.fbm(h)
+    from the same substream; with beta = 1 none is, so GreyParams(2h, 1.0)
     gives the plain fBm path of that substream.
     """
     values = _fbm_batch(params.hurst, params.beta, grid, rng, 1)[:, 0]

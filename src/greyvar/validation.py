@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError, ParameterError
 from .params import GreyParams
-from .sampling import DyadicGrid, RngSpec, sample_ggbm_batch
+from .sampling import DyadicGrid, RngSpec, _as_int, sample_ggbm_batch
 from .special import _gauss_panels, mittag_leffler, mwright_pdf
 from .special import gamma as _gamma
 
@@ -66,8 +66,16 @@ class CfCheckSpec:
             raise ParameterError("s and t must differ")
         if not (0.0 <= self.s <= 1.0 and 0.0 <= self.t <= 1.0):
             raise ParameterError("times must lie in [0, 1]")
-        if self.n_paths < 10_000:
-            raise ParameterError("characteristic-function checks need >= 1e4 paths")
+        n_paths = _path_count(self.n_paths, 10_000, "characteristic-function checks need >= 1e4 paths")
+        object.__setattr__(self, "n_paths", n_paths)
+
+
+def _path_count(n_paths, minimum: int, too_few: str) -> int:
+    """n_paths as an int >= minimum; a non-integer, bools included, is a
+    ParameterError naming n_paths, and a smaller integer one saying too_few."""
+    if isinstance(n_paths, (int, np.integer)) and not isinstance(n_paths, bool) and n_paths < minimum:
+        raise ParameterError(too_few.format(n_paths))
+    return _as_int(n_paths, minimum, "n_paths")
 
 
 def _dyadic_points(times: Sequence[float]) -> Tuple[DyadicGrid, List[int]]:
@@ -97,8 +105,7 @@ def _means(
     array, over n_paths ggBm paths in batches of at most _CHUNK paths and, past
     one path, _CHUNK_NORMALS normals (2m per path); path d is always drawn from
     substream rng.stream(d), whatever the chunk size."""
-    if n_paths < 1:
-        raise ParameterError(f"a check needs at least one path, got {n_paths}")
+    n_paths = _path_count(n_paths, 1, "a check needs at least one path, got {}")
     chunk = min(_CHUNK, max(1, _CHUNK_NORMALS // (2 * grid.n_increments)))
     sums = sq_sums = 0.0
     for done in range(0, n_paths, chunk):

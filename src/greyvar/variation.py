@@ -8,8 +8,11 @@ p*alpha/2 - 1.
 Every sum comes from one kernel, ``_level_sum``, which computes each
 (level, p) sum of a path once and keeps it on the path, so the estimators
 and discriminators that read the same sums share them.  Path values are
-read-only, so a kept sum cannot go stale.  The exponent p must be finite
-and positive; a sum that overflows the double range raises NumericalError.
+read-only, so a kept sum cannot go stale; nothing but these sums is kept
+on a path.  The exponent p must be finite and positive; a sum that
+overflows the double range raises NumericalError.  On a uniform n-grid
+the renormalized statistic of the limit theorems is n^(p*alpha/2 - 1)
+times ``p_variation_sum(path, p).value``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, ParameterError
 from .params import GreyParams
-from .sampling import DyadicGrid, SamplePath, UniformGrid
+from .sampling import DyadicGrid, SamplePath
 from .special import theoretical_variation_limit
 
 __all__ = [
@@ -32,7 +35,6 @@ __all__ = [
     "Regime",
     "TrichotomyLabel",
     "p_variation_sum",
-    "renormalized_statistic",
     "variation_trichotomy",
     "variation_sequence",
     "hoelder_dominance_bound",
@@ -41,9 +43,6 @@ __all__ = [
 # |p*alpha/2 - 1| below this is treated as the exact critical exponent
 # (alpha arrives as a float).
 CRITICAL_EXPONENT_TOL = 1e-12
-
-# Key of max|increment| at the finest level among a path's kept sums.
-_MAX_KEY = "max|dx|"
 
 
 def _check_exponent(p: float) -> None:
@@ -136,21 +135,6 @@ def p_variation_sum(path: SamplePath, p: float) -> VariationRecord:
     return VariationRecord(level_or_n=level_or_n, p=p, value=_level_sum(path, level_or_n, p))
 
 
-def renormalized_statistic(path: SamplePath, p: float, alpha: float) -> float:
-    """n^(p*alpha/2 - 1) times the p-variation sum on a uniform n-grid.
-
-    The rescaling makes the statistic converge (in law) for every p, with
-    mean equal to the corresponding absolute moment at the critical p.
-    """
-    if not isinstance(path.grid, UniformGrid):
-        raise InputError("renormalized statistic is defined on uniform grids")
-    if not (0.0 < alpha < 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    record = p_variation_sum(path, p)
-    n = path.grid.n
-    return float(n ** (p * alpha / 2.0 - 1.0) * record.value)
-
-
 def variation_trichotomy(alpha: float, beta: float, p: float) -> TrichotomyLabel:
     """Classify the limiting regime of the dyadic p-variation sums.
 
@@ -192,9 +176,7 @@ def hoelder_dominance_bound(
     if not q > p:
         raise ParameterError(f"need q > p > 0, got p={p}, q={q}")
     p_value = _level_sum(path, _finest(path), p)
-    sup = path._sums.get(_MAX_KEY)
-    if sup is None:
-        sup = path._sums[_MAX_KEY] = np.max(np.abs(path.increments()))
+    sup = np.max(np.abs(path.increments()))
     with np.errstate(over="ignore"):
         sup_factor = float(sup ** (q - p))
     if not math.isfinite(sup_factor):

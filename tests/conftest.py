@@ -3,7 +3,6 @@ import pytest
 
 from greyvar import sampling
 from greyvar.errors import ParameterError
-from greyvar.params import GreyParams
 from greyvar.sampling import RngSpec
 
 MASTER_SEED = 20260810
@@ -36,7 +35,9 @@ def mwright_cutoff(beta, log_cut=21.0):
 def fbm_covariance(hurst, s, t):
     """Covariance (s^2H + t^2H - |t-s|^2H) / 2 of standard fBm at times s, t
     in [0, 1], elementwise over arrays."""
-    h2 = 2.0 * GreyParams.fbm(hurst).hurst
+    if not 0.0 < hurst < 1.0:
+        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
+    h2 = 2.0 * hurst
     if not np.all((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)):
         raise ParameterError("times must lie in [0, 1]")
     return 0.5 * (s ** h2 + t ** h2 - np.abs(t - s) ** h2)

@@ -123,7 +123,7 @@ def _fbm_exactness():
         se = float(prod.std()) / math.sqrt(prod.size)
         z = (float(prod.mean()) - ref) / se
         circ = sample_ggbm_batch(
-            GreyParams.fbm(hurst), DyadicGrid(8), BASE.stream(120_000 + 200_000 * k), 10_000
+            GreyParams(2 * hurst, 1.0), DyadicGrid(8), BASE.stream(120_000 + 200_000 * k), 10_000
         )
         ks = ks_2samp(np.diff(batch[:, :10_000], axis=0)[0], np.diff(circ, axis=0)[0])
         rows.append(
@@ -153,7 +153,7 @@ def test_criterion_03_fbm_exactness():
 def _brownian_quadratic_variation():
     values = []
     for i in range(100):
-        batch = sample_ggbm_batch(GreyParams.fbm(0.5), DyadicGrid(14), BASE.stream(30_000 + i), 1)
+        batch = sample_ggbm_batch(GreyParams(2 * 0.5, 1.0), DyadicGrid(14), BASE.stream(30_000 + i), 1)
         inc = np.diff(batch[:, 0])
         values.append(float(np.sum(inc * inc)))
     mean = float(np.mean(values))

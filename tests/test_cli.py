@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -638,6 +639,24 @@ class TestPresets:
         cfg = load_preset(name)
         assert cfg["master_seed"] == 20260810
         assert cfg["command"] in ("variation", "discriminate", "validate")
+
+    # sha256 of dump_report(results) for each full preset at threads=1: a
+    # change to these bytes is an RNG-stream or rounding change to declare.
+    DIGESTS = {
+        "prop7-trichotomy": "433b7e26ab33536b469b7846cfb36a0ebff3fa558825ef6f26e4791dc80dad90",
+        "thm10-grid": "4bb845f546c6a84353e6eada452bf8d6042310f72148d19e9ee15fd957cf937c",
+        "fbm-singularity": "36f2dfb09b17145822ec2a1db667006451aff29c0f0b25aeab14b06dab0a01ab",
+        "validate-all": "b94b7e1e51a17082cf0327b901f9c3277641faeae93fed6f1e4da9b5c12a4fcf",
+    }
+
+    def test_digests_cover_every_preset(self):
+        assert sorted(self.DIGESTS) == sorted(PRESET_NAMES)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_full_preset_bytes_are_pinned(self, name):
+        cfg = load_preset(name)
+        results = run_config(cfg["command"], cfg, threads=1)["results"]
+        assert hashlib.sha256(dump_report(results).encode()).hexdigest() == self.DIGESTS[name]
 
     def test_unknown_preset(self):
         from greyvar.cli import ConfigError

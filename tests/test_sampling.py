@@ -14,7 +14,7 @@ from scipy.stats import ks_2samp
 
 from greyvar import sampling
 from greyvar.cli import run_config
-from greyvar.errors import CapacityError, InputError, NumericalError, ParameterError
+from greyvar.errors import CapacityError, InputError, ParameterError
 from greyvar.params import GreyParams
 from greyvar.sampling import (
     DyadicGrid,
@@ -28,7 +28,6 @@ from greyvar.sampling import (
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,
-    sample_one_sided_stable,
 )
 from greyvar.special import mwright_moment
 from greyvar.variation import p_variation_sum
@@ -60,10 +59,10 @@ class TestCovariance:
 
 def test_fbm_samplers_check_hurst_first(rng):
     for call in (
-        lambda: sample_ggbm(GreyParams.fbm(0.0), DyadicGrid(25), rng),
-        lambda: sample_ggbm_batch(GreyParams.fbm(float("nan")), DyadicGrid(25), rng, 2),
+        lambda: sample_ggbm(GreyParams(2 * 0.0, 1.0), DyadicGrid(25), rng),
+        lambda: sample_ggbm_batch(GreyParams(2 * float("nan"), 1.0), DyadicGrid(25), rng, 2),
     ):
-        with pytest.raises(ParameterError, match="hurst must lie in"):
+        with pytest.raises(ParameterError, match="alpha must lie in"):
             call()
 
 
@@ -114,8 +113,8 @@ class TestCholesky:
 
 class TestCirculant:
     def test_determinism(self, rng):
-        a = sample_ggbm(GreyParams.fbm(0.3), DyadicGrid(8), rng)
-        b = sample_ggbm(GreyParams.fbm(0.3), DyadicGrid(8), rng)
+        a = sample_ggbm(GreyParams(2 * 0.3, 1.0), DyadicGrid(8), rng)
+        b = sample_ggbm(GreyParams(2 * 0.3, 1.0), DyadicGrid(8), rng)
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("level", [25, 14_285, 10 ** 9])
@@ -126,7 +125,7 @@ class TestCirculant:
         tracemalloc.start()
         try:
             with pytest.raises(CapacityError, match=match):
-                sample_ggbm(GreyParams.fbm(0.5), DyadicGrid(level), rng)
+                sample_ggbm(GreyParams(2 * 0.5, 1.0), DyadicGrid(level), rng)
             with pytest.raises(CapacityError, match=match):
                 sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(level), rng)
             peak = tracemalloc.get_traced_memory()[1]
@@ -141,14 +140,14 @@ class TestCirculant:
             root[0] = 0.0
 
     def test_increment_variance_level12(self, rng):
-        batch = sample_ggbm_batch(GreyParams.fbm(0.5), DyadicGrid(12), rng.stream(100), 2_000)
+        batch = sample_ggbm_batch(GreyParams(2 * 0.5, 1.0), DyadicGrid(12), rng.stream(100), 2_000)
         inc = np.diff(batch, axis=0)
         var = inc.var()
         se = var * math.sqrt(2.0 / inc.size)
         assert abs(var - 2.0 ** -12) <= 4.0 * se
 
     def test_lag_one_autocorrelation_h06(self, rng):
-        batch = sample_ggbm_batch(GreyParams.fbm(0.6), DyadicGrid(10), rng.stream(200), 20_000)
+        batch = sample_ggbm_batch(GreyParams(2 * 0.6, 1.0), DyadicGrid(10), rng.stream(200), 20_000)
         inc = np.diff(batch, axis=0)
         rho = float((inc[:-1] * inc[1:]).mean() / inc.var())
         # (2^(2H) - 2)/2 at H = 0.6
@@ -158,7 +157,7 @@ class TestCirculant:
     def test_agrees_with_cholesky(self, hurst, rng):
         n = 10_000
         chol = fbm_cholesky_batch(hurst, DyadicGrid(10), rng.stream(300), n)
-        circ = sample_ggbm_batch(GreyParams.fbm(hurst), DyadicGrid(10), rng.stream(300 + n), n)
+        circ = sample_ggbm_batch(GreyParams(2 * hurst, 1.0), DyadicGrid(10), rng.stream(300 + n), n)
         stat = ks_2samp(np.diff(chol, axis=0)[0], np.diff(circ, axis=0)[0])
         assert stat.pvalue > 0.001
 
@@ -188,30 +187,26 @@ class TestCirculant:
 
 
 class TestStableSampler:
+    """The one-sided stable S = Y^(-1/beta) behind the M-Wright draws Y."""
+
     def test_positive_and_deterministic(self, rng):
-        draws = sample_one_sided_stable(0.5, rng, 1000)
-        again = sample_one_sided_stable(0.5, rng, 1000)
+        draws = sample_mwright(0.5, rng, 1000) ** (-1.0 / 0.5)
+        again = sample_mwright(0.5, rng, 1000) ** (-1.0 / 0.5)
         assert np.array_equal(draws, again)
         assert np.all(draws > 0.0)
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
     def test_laplace_transform(self, beta, rng):
-        draws = sample_one_sided_stable(beta, rng.stream(int(beta * 10)), 10 ** 6)
+        draws = sample_mwright(beta, rng.stream(int(beta * 10)), 10 ** 6) ** (-1.0 / beta)
         for s in [0.5, 1.0, 2.0]:
             x = np.exp(-s * draws)
             se = x.std() / 1000.0
             assert abs(x.mean() - math.exp(-(s ** beta))) <= 4.0 * se
 
-    def test_errors(self, rng):
-        with pytest.raises(ParameterError):
-            sample_one_sided_stable(1.0, rng)
-
-    def test_draws_outside_double_range_raise(self, rng):
-        # S = Y^(-1/beta) over- and underflows for beta near 0.
-        with pytest.raises(NumericalError, match="beta=0.001"):
-            sample_one_sided_stable(0.001, rng, 100_000)
-        draws = sample_one_sided_stable(0.05, rng, 100_000)
-        assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+    @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5, float("nan")])
+    def test_errors(self, beta, rng):
+        with pytest.raises(ParameterError, match="beta must lie in"):
+            sample_mwright(beta, rng)
 
 
 class TestMWrightSampler:
@@ -229,7 +224,7 @@ class TestMWrightSampler:
 
 
 class TestDrawCount:
-    SAMPLERS = [(sample_mwright, 0.5), (sample_mwright, 1.0), (sample_one_sided_stable, 0.5)]
+    SAMPLERS = [(sample_mwright, 0.5), (sample_mwright, 1.0)]
 
     @pytest.mark.parametrize(("sampler", "beta"), SAMPLERS)
     @pytest.mark.parametrize("size", [-1, 2.5, np.float64(3.0), True, "3"])
@@ -265,10 +260,11 @@ class TestSubordinatorRange:
 
 
 class TestGgbm:
-    def test_beta_one_reduces_to_fbm_exactly(self, rng):
-        g = sample_ggbm(GreyParams(1.4, 1.0), DyadicGrid(8), rng)
-        f = sample_ggbm(GreyParams.fbm(0.7), DyadicGrid(8), rng)
-        assert np.array_equal(g.values, f.values)
+    def test_beta_one_reduces_to_fbm_exactly(self, rng, monkeypatch):
+        # fBm with hurst 0.7 is GreyParams(1.4, 1.0): beta = 1 draws no subordinator.
+        f = sample_ggbm(GreyParams(1.4, 1.0), DyadicGrid(8), rng)
+        monkeypatch.setattr(sampling, "_mwright_log_kanter", lambda *args: pytest.fail("Y drawn"))
+        assert np.array_equal(sample_ggbm(GreyParams(1.4, 1.0), DyadicGrid(8), rng).values, f.values)
 
     @pytest.mark.parametrize(
         "grid, beta, atol",
@@ -438,10 +434,8 @@ class TestSubstreamSeeding:
         rng = RngSpec(2 ** 64, 2 ** 32)
         y = _numpy_kanter(beta, rng, 100)
         assert sample_mwright(beta, rng, 100).tobytes() == y.tobytes()
-        assert sample_one_sided_stable(beta, rng, 100).tobytes() == (y ** (-1.0 / beta)).tobytes()
         (y1,) = _numpy_kanter(beta, rng, 1)
         assert sample_mwright(beta, rng) == y1
-        assert sample_one_sided_stable(beta, rng) == y1 ** (-1.0 / beta)
 
     @pytest.mark.parametrize("spec", [(-1, 0), (1.5, 0), (True, 0), ("7", 0), (0, -1), (0, 2.0)])
     def test_rngspec_rejects_bad_seeds(self, spec):
@@ -465,7 +459,7 @@ class TestBatchSize:
         "draw, n_points",
         [
             (lambda n, rng: sample_ggbm_batch(GreyParams(1.2, 0.7), DyadicGrid(3), rng, n), 9),
-            (lambda n, rng: sample_ggbm_batch(GreyParams.fbm(0.6), DyadicGrid(3), rng, n), 9),
+            (lambda n, rng: sample_ggbm_batch(GreyParams(2 * 0.6, 1.0), DyadicGrid(3), rng, n), 9),
         ],
         ids=["ggbm", "fbm-circulant"],
     )

@@ -235,6 +235,24 @@ class TestChecksWithoutRows:
         with pytest.raises(ParameterError, match="at least one path"):
             check_mixing_decay(GreyParams(1.0, 1.0), [1, 2], n_paths, rng)
 
+    @pytest.mark.parametrize(
+        "n_paths", [10.5, 2.0, 10000.5, np.float64(20000.0), True, False, "3", None], ids=repr
+    )
+    def test_non_integer_count_names_n_paths(self, n_paths, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
+        params = GreyParams(1.0, 1.0)
+        with pytest.raises(ParameterError, match="n_paths must be an integer"):
+            check_even_moments(params, 1.0, [2], n_paths, rng)
+        with pytest.raises(ParameterError, match="n_paths must be an integer"):
+            check_mixing_decay(params, [1, 2], n_paths, rng)
+        with pytest.raises(ParameterError, match="n_paths must be an integer"):
+            CfCheckSpec((1.0,), 0.0, 1.0, n_paths)
+
+    def test_cf_spec_takes_numpy_integers(self):
+        assert CfCheckSpec((1.0,), 0.0, 1.0, np.int64(20000)) == CfCheckSpec((1.0,), 0.0, 1.0, 20000)
+        with pytest.raises(ParameterError, match="1e4 paths"):
+            CfCheckSpec((1.0,), 0.0, 1.0, np.int64(9999))
+
 
 class TestGaussLegendre:
     def test_one_call_on_all_nodes(self):

@@ -12,7 +12,6 @@ from greyvar.variation import (
     TrichotomyLabel,
     hoelder_dominance_bound,
     p_variation_sum,
-    renormalized_statistic,
     variation_sequence,
     variation_trichotomy,
 )
@@ -68,31 +67,31 @@ class TestPVariationSum:
 
 
 class TestRenormalizedStatistic:
-    def test_requires_uniform_grid(self):
-        with pytest.raises(InputError):
-            renormalized_statistic(linear_path(4), 2.0, 1.0)
+    """n^(p*alpha/2 - 1) times the p-variation sum on a uniform n-grid."""
 
     def test_exponent_vanishes_at_critical_p(self):
-        path = SamplePath(UniformGrid(64), np.linspace(0.0, 1.0, 65))
-        alpha = 1.25
-        z = renormalized_statistic(path, 2.0 / alpha, alpha)
+        n, alpha = 64, 1.25
+        p = 2.0 / alpha
+        path = SamplePath(UniformGrid(n), np.linspace(0.0, 1.0, n + 1))
+        z = n ** (p * alpha / 2 - 1) * p_variation_sum(path, p).value
         assert z == pytest.approx(p_variation_sum(path, 2.0 / alpha).value, rel=1e-12)
 
     def test_linear_path_quadratic(self):
-        n = 128
+        n, p, alpha = 128, 2.0, 1.0
         path = SamplePath(UniformGrid(n), np.linspace(0.0, 1.0, n + 1))
-        assert renormalized_statistic(path, 2.0, 1.0) == pytest.approx(1.0 / n, rel=1e-12)
+        z = n ** (p * alpha / 2 - 1) * p_variation_sum(path, p).value
+        assert z == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_mean_converges_to_limit(self):
         # across-path mean of the critical statistic approaches the
         # theoretical limit (the per-path values stay dispersed)
         params = GreyParams(1.2, 0.7)
         rng = RngSpec(MASTER_SEED, 0)
-        n = 2 ** 14
+        n, p = 2 ** 14, 2.0 / 1.2
         zs = []
         for i in range(200):
             path = sample_ggbm(params, UniformGrid(n), rng.stream(3000 + i))
-            zs.append(renormalized_statistic(path, 2.0 / 1.2, 1.2))
+            zs.append(n ** (p * 1.2 / 2 - 1) * p_variation_sum(path, p).value)
         mu = theoretical_variation_limit(params)
         assert abs(np.mean(zs) - mu) / mu < 0.10
 
