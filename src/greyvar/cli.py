@@ -183,14 +183,14 @@ def _reads(*keys: str):
 # ---------------------------------------------------------------- sample
 
 
+_FBM_IS_GGBM = "fBm is 'ggbm' with alpha = 2 * hurst and beta: 1"
+
+
 @_reads("process", "grid", "level", "n", "n_paths", "alpha", "beta")
 def cmd_sample(cfg: dict, threads: int = 1) -> dict:
     process = _field(cfg, "process", str, required=False, default="ggbm")
     if process != "ggbm":
-        raise ConfigError(
-            f"unknown process {process!r}: the one process is 'ggbm', "
-            "and fBm is 'ggbm' with alpha = 2 * hurst and beta: 1"
-        )
+        raise ConfigError(f"unknown process {process!r}: the one process is 'ggbm', and {_FBM_IS_GGBM}")
     grid = _grid_from(cfg)
     n_paths = _n_paths(cfg, 1)
     out, fmt = _output(cfg, "csv")
@@ -479,7 +479,9 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
         raise ConfigError(f"config is for command {named!r}, but {command!r} was run")
     unknown = sorted(set(cfg) - _SHARED_KEYS - _COMMANDS[command].keys)
     if unknown:
-        raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}")
+        # 'hurst' was a field of the retired fBm processes: name their replacement.
+        hint = f"; {_FBM_IS_GGBM}" if "hurst" in unknown else ""
+        raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}{hint}")
     _output(cfg, "json")  # the shared fields, checked before any work
     if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")

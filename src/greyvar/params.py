@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -21,6 +22,10 @@ class GreyParams:
     beta: float
 
     def __post_init__(self):
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.alpha < 2.0):
             raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
         if not (0.0 < self.beta <= 1.0):

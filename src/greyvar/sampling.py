@@ -77,7 +77,8 @@ class RngSpec:
             object.__setattr__(self, name, _as_int(getattr(self, name), 0, name))
 
     def generator(self) -> np.random.Generator:
-        return next(_substreams(self, 1))
+        (words,) = _seed_states(self.master_seed, self.stream_id, 1)
+        return np.random.Generator(np.random.PCG64(_SeedState(words)))
 
     def stream(self, offset: int) -> "RngSpec":
         return RngSpec(self.master_seed, self.stream_id + offset)
@@ -166,13 +167,6 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
-
-
-def _substreams(rng: RngSpec, n: int):
-    """Yield the generators of rng.stream(i), i = 0..n-1: numpy's PCG64 seeded by
-    SeedSequence(entropy=rng.master_seed, spawn_key=(rng.stream_id + i,))."""
-    for words in _seed_states(rng.master_seed, rng.stream_id, n):
-        yield np.random.Generator(np.random.PCG64(_SeedState(words)))
 
 
 @dataclass(frozen=True)
@@ -303,50 +297,39 @@ def _circulant_sqrt_spectrum(hurst: float, m: int) -> np.ndarray:
 _PLAN_LOCK = threading.Lock()
 
 
-def _draws(beta: float, rng: RngSpec, n_paths: int, n_normals: int):
-    """Path i's Kanter U and W (beta < 1; empty at beta = 1), then its normals,
-    from rng.stream(i).  The normals come back as an (n_normals, n_paths) view:
-    each path fills one contiguous row of a C-ordered (n_paths, n_normals)
-    block in place, at the tail of the calling thread's work array where that
-    holds them (see _fbm_batch) and in a new array otherwise.  U is pi times
-    the raw PCG64 word as numpy's next_double forms it, which equals
-    gen.random() and gen.uniform(0, pi) bit for bit without their dtype
-    dispatch.
+def _draws(beta: float, rng: RngSpec, rows: np.ndarray):
+    """Fill rows[i] in place with path i's normals from rng.stream(i), drawn
+    after its Kanter U and W (beta < 1), and return U and W (empty at beta = 1).
+    U is pi times the raw PCG64 word as numpy's next_double forms it, which
+    equals gen.random() and gen.uniform(0, pi) bit for bit without their
+    dtype dispatch.
 
     A function of its own so that the last generator, whose PCG64 holds a
     view of the block's seed array, is freed when it returns.
     """
-    size = n_paths * n_normals
-    work = _work(size)
-    rows = work[len(work) - size:].reshape(n_paths, n_normals)
     u, w = [], []
     # One seed holder for the batch: a PCG64 reads its words at construction.
     seed = _SeedState(None)
     pcg64, generator = np.random.PCG64, np.random.Generator
-    for row, seed.words in zip(rows, _seed_states(rng.master_seed, rng.stream_id, n_paths)):
+    for row, seed.words in zip(rows, _seed_states(rng.master_seed, rng.stream_id, len(rows))):
         bits = pcg64(seed)
         gen = generator(bits)
         if beta != 1.0:
             u.append((bits.random_raw() >> 11) * 2.0 ** -53)
             w.append(gen.standard_exponential())
         gen.standard_normal(out=row)
-    return math.pi * np.array(u), np.array(w), rows.T
+    return math.pi * np.array(u), np.array(w)
 
 
 # Half-spectrum entries per block of a circulant batch: 1 MiB of complex
 # spectrum and as much of normals, however many paths the batch has.
 _BLOCK_ENTRIES = 2 ** 16
-# Each thread's work array (.work): a block's half spectrum at its head and
-# its normals at its tail, 4m + 2 floats a path, kept between draws up to one
-# block of _BLOCK_ENTRIES + 1 entries (2 MiB).
+# Each thread's work array (.work), read and written by _fbm_batch alone: a
+# block's half spectrum at its head and its normals at its tail, 4m + 2
+# floats a path.  A thread keeps one array of at most one block of
+# _BLOCK_ENTRIES + 1 entries (2 MiB).
 _SCRATCH = threading.local()
 _SCRATCH_KEEP = 4 * (_BLOCK_ENTRIES + 1)
-
-
-def _work(size: int) -> np.ndarray:
-    """The calling thread's work array if it holds size floats, else a new one."""
-    work = getattr(_SCRATCH, "work", None)
-    return work if work is not None and len(work) >= size else np.empty(size)
 
 
 def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int) -> np.ndarray:
@@ -380,33 +363,33 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
     # the other order the peak resident memory of a run of long single paths
     # is about 0.3 MB higher.
     size = min(block, n_paths) * (4 * m + 2)
-    work = _SCRATCH.work = _work(size)
-    try:
-        out = np.zeros((m + 1, n_paths))
-        for lo in range(0, n_paths, block):
-            hi = min(lo + block, n_paths)
-            # One row of spectrum and of normals per path.
-            v = work[:2 * (hi - lo) * (m + 1)].view(complex).reshape(hi - lo, m + 1)
-            u, w, z = _draws(beta, rng.stream(lo), hi - lo, 2 * m)
-            z = z.T
-            # The 2m-point spectral draw is Hermitian: only its first m + 1
-            # entries are formed.  Its hfft is numpy's own, an unscaled irfft
-            # of the conjugate, here conjugated in place rather than copied.
-            v[:, [0, m]] = root[[0, m]] * z[:, :2]
-            np.multiply(root[1:m], z[:, 2:m + 1], out=v.real[:, 1:m])
-            np.multiply(root[1:m], z[:, m + 1:], out=v.imag[:, 1:m])
-            np.conjugate(v, out=v)
-            fgn = np.fft.irfft(v, n=2 * m, axis=1, norm="forward", out=z)[:, :m]
-            fgn /= math.sqrt(2 * m)
-            fgn *= (1.0 / m) ** hurst
-            np.cumsum(fgn.T, axis=0, out=out[1:, lo:hi])
-            # beta = 1 consumes no randomness, so the ggBm path then equals
-            # the plain fBm path driven by the same substream.
-            if beta != 1.0:
-                out[:, lo:hi] *= np.sqrt(_mwright_log_kanter(beta, u, w))
-    finally:
-        if size > _SCRATCH_KEEP:  # a path longer than one block keeps nothing
-            del _SCRATCH.work
+    work = getattr(_SCRATCH, "work", None)
+    if work is None or len(work) < size:
+        work = np.empty(size)
+        if size <= _SCRATCH_KEEP:  # a path longer than one block is its call's alone
+            _SCRATCH.work = work
+    out = np.zeros((m + 1, n_paths))
+    for lo in range(0, n_paths, block):
+        k = min(block, n_paths - lo)
+        # One row of spectrum (head) and of normals (tail) per path.
+        v = work[:2 * k * (m + 1)].view(complex).reshape(k, m + 1)
+        z = work[len(work) - 2 * k * m:].reshape(k, 2 * m)
+        u, w = _draws(beta, rng.stream(lo), z)
+        # The 2m-point spectral draw is Hermitian: only its first m + 1
+        # entries are formed.  Its hfft is numpy's own, an unscaled irfft
+        # of the conjugate, here conjugated in place rather than copied.
+        v[:, [0, m]] = root[[0, m]] * z[:, :2]
+        np.multiply(root[1:m], z[:, 2:m + 1], out=v.real[:, 1:m])
+        np.multiply(root[1:m], z[:, m + 1:], out=v.imag[:, 1:m])
+        np.conjugate(v, out=v)
+        fgn = np.fft.irfft(v, n=2 * m, axis=1, norm="forward", out=z)[:, :m]
+        fgn /= math.sqrt(2 * m)
+        fgn *= (1.0 / m) ** hurst
+        np.cumsum(fgn.T, axis=0, out=out[1:, lo:lo + k])
+        # beta = 1 consumes no randomness, so the ggBm path then equals
+        # the plain fBm path driven by the same substream.
+        if beta != 1.0:
+            out[:, lo:lo + k] *= np.sqrt(_mwright_log_kanter(beta, u, w))
     return out
 
 

@@ -260,15 +260,14 @@ def gauss_legendre_integral(
 def special_identity_report() -> dict:
     """Deterministic special-function identity checks.
 
-    Exponential reduction of the Mittag-Leffler function at beta = 1, the
-    closed form exp(1) erfc(1) at beta = 1/2, and the Laplace-transform
+    The closed form exp(s^2) erfc(s) of the Mittag-Leffler function at
+    beta = 1/2, over s in [0, 5] and at s = 1, and the Laplace-transform
     identity between the M-Wright density and the Mittag-Leffler function.
     """
     rows = []
 
-    s_grid = np.linspace(0.0, 50.0, 100)
-    err = max(abs(mittag_leffler(1.0, float(s)) - math.exp(-float(s))) for s in s_grid)
-    rows.append({"name": "E_1(-s) = exp(-s), s in [0,50]", "error": float(err), "tol": 1e-12})
+    err = max(abs(mittag_leffler(0.5, s) - math.exp(s * s) * math.erfc(s)) for s in np.arange(11) / 2)
+    rows.append({"name": "E_1/2(-s) = exp(s^2) erfc(s), s in [0,5]", "error": float(err), "tol": 1e-12})
 
     ref = math.e * math.erfc(1.0)
     err = abs(mittag_leffler(0.5, 1.0) - ref)

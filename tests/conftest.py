@@ -53,8 +53,10 @@ def fbm_cholesky_batch(hurst, grid, rng, n_paths):
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         factor = np.linalg.cholesky(cov + 1e-12 * float(np.max(np.diag(cov))) * np.eye(len(times)))
-    # C order, as BLAS rounds a product by the layout of its operands.
-    z = np.ascontiguousarray(sampling._draws(1.0, rng, n_paths, len(times))[2])
+    rows = np.empty((n_paths, len(times)))
+    sampling._draws(1.0, rng, rows)
     out = np.zeros((len(times) + 1, n_paths))
-    out[1:] = factor @ z
+    # One column per path in C order, as BLAS rounds a product by the layout
+    # of its operands.
+    out[1:] = factor @ rows.T.copy()
     return out

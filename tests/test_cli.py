@@ -289,14 +289,16 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("process", ["fbm-cholesky", "fbm-circulant"])
     def test_retired_fbm_process_exits_2(self, process, tmp_path, capsys, monkeypatch):
-        # A config of the old form names its 'hurst' field as unknown; without
-        # it, the error names the replacement.
+        # A config of the old form names its 'hurst' field as unknown and the
+        # replacement in one message; without it, the process error does.
         monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
         old = {"process": process, "hurst": 0.6, "grid": "uniform", "n": 999, "n_paths": 2, "master_seed": 13}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(old))
         assert main(["sample", "--config", str(path)]) == EXIT_USAGE
-        assert "'hurst'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'hurst'" in err and "'ggbm'" in err and "alpha = 2 * hurst" in err and "beta: 1" in err
         del old["hurst"]
         path.write_text(json.dumps(old))
         assert main(["sample", "--config", str(path)]) == EXIT_USAGE
@@ -640,22 +642,24 @@ class TestPresets:
         assert cfg["master_seed"] == 20260810
         assert cfg["command"] in ("variation", "discriminate", "validate")
 
-    # sha256 of dump_report(results) for each full preset at threads=1: a
-    # change to these bytes is an RNG-stream or rounding change to declare.
+    # sha256 of dump_report(results) for each full preset, at threads 1 and
+    # 2 alike: a change to these bytes is an RNG-stream or rounding change
+    # to declare.
     DIGESTS = {
         "prop7-trichotomy": "433b7e26ab33536b469b7846cfb36a0ebff3fa558825ef6f26e4791dc80dad90",
         "thm10-grid": "4bb845f546c6a84353e6eada452bf8d6042310f72148d19e9ee15fd957cf937c",
         "fbm-singularity": "36f2dfb09b17145822ec2a1db667006451aff29c0f0b25aeab14b06dab0a01ab",
-        "validate-all": "b94b7e1e51a17082cf0327b901f9c3277641faeae93fed6f1e4da9b5c12a4fcf",
+        "validate-all": "67c10081783c1eaa3579c8a2197156ab3e4b0044e3e9f1649a96671503959b64",
     }
 
     def test_digests_cover_every_preset(self):
         assert sorted(self.DIGESTS) == sorted(PRESET_NAMES)
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_full_preset_bytes_are_pinned(self, name):
+    def test_full_preset_bytes_are_pinned(self, name, threads):
         cfg = load_preset(name)
-        results = run_config(cfg["command"], cfg, threads=1)["results"]
+        results = run_config(cfg["command"], cfg, threads=threads)["results"]
         assert hashlib.sha256(dump_report(results).encode()).hexdigest() == self.DIGESTS[name]
 
     def test_unknown_preset(self):

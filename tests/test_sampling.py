@@ -24,7 +24,6 @@ from greyvar.sampling import (
     _circulant_sqrt_spectrum,
     _fgn_autocovariance,
     _seed_states,
-    _substreams,
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,
@@ -66,6 +65,19 @@ def test_fbm_samplers_check_hurst_first(rng):
             call()
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", ["1.0", None, True, np.True_, 1j, [1.0]], ids=repr)
+def test_params_reject_non_real_fields(field, value):
+    with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+        GreyParams(**{"alpha": 1.0, "beta": 1.0, field: value})
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_params_store_real_fields_as_given(field):
+    for value in (1, np.int64(1), np.float32(0.5), np.float64(0.5)):
+        assert getattr(GreyParams(**{"alpha": 1.0, "beta": 1.0, field: value}), field) is value
+
+
 class TestSamplePath:
     def test_invariants(self):
         with pytest.raises(InputError):
@@ -94,7 +106,7 @@ class TestCholesky:
         # BLAS rounds by operand layout: the normals must reach it in C order,
         # as numpy's own draws, one column per path, do.
         got = fbm_cholesky_batch(0.6, grid, rng, n_paths)
-        monkeypatch.setattr(sampling, "_draws", _numpy_draws)
+        monkeypatch.setattr(sampling, "_draws", _numpy_fill)
         assert got.tobytes() == fbm_cholesky_batch(0.6, grid, rng, n_paths).tobytes()
 
     def test_brownian_increment_variance(self, rng):
@@ -378,6 +390,13 @@ def _numpy_draws(beta, rng, n_paths, n_normals):
     return u, w, z
 
 
+def _numpy_fill(beta, rng, rows):
+    """_numpy_draws in the form of _draws, which fills the rows it is handed."""
+    u, w, z = _numpy_draws(beta, rng, *rows.shape)
+    rows[...] = z.T
+    return u, w
+
+
 def _numpy_kanter(beta, rng, size):
     """M-Wright draws from a numpy-built generator, in the samplers' order."""
     gen = _numpy_generator(rng)
@@ -412,20 +431,20 @@ class TestSubstreamSeeding:
                 seq = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
                 words = _seed_states(seed, i, 1)
                 assert words.tobytes() == seq.generate_state(4, np.uint64).tobytes(), (seed, i)
-                gens = [gen.bit_generator.state for gen in _substreams(RngSpec(seed, i), 2)]
-                assert gens[0] == np.random.PCG64(seq).state, (seed, i)
+                gen = RngSpec(seed, i).generator()
+                assert gen.bit_generator.state == np.random.PCG64(seq).state, (seed, i)
 
     def test_run_straddling_two_to_the_32(self):
         rng = RngSpec(20260810, 2 ** 32 - 3)
         expected = [_numpy_generator(rng.stream(k)).bit_generator.state for k in range(6)]
-        assert [gen.bit_generator.state for gen in _substreams(rng, 6)] == expected
+        assert [rng.stream(k).generator().bit_generator.state for k in range(6)] == expected
 
     @pytest.mark.parametrize("beta", [0.6, 1.0])
     def test_batch_across_two_to_the_32_matches_numpy(self, beta, monkeypatch):
         params = GreyParams(1.2, beta)
         rng = RngSpec(20260810, 2 ** 32 - 3)
         got = sample_ggbm_batch(params, DyadicGrid(4), rng, 6)
-        monkeypatch.setattr(sampling, "_draws", _numpy_draws)
+        monkeypatch.setattr(sampling, "_draws", _numpy_fill)
         expected = sample_ggbm_batch(params, DyadicGrid(4), rng, 6)
         assert got.tobytes() == expected.tobytes()
 
@@ -450,7 +469,7 @@ class TestSubstreamSeeding:
     def test_small_batches_match_numpy(self, n):
         rng = RngSpec(2 ** 64 + 1, 2 ** 32 - 2)
         expected = [_numpy_generator(rng.stream(k)).bit_generator.state for k in range(n)]
-        assert [gen.bit_generator.state for gen in _substreams(rng, n)] == expected
+        assert [rng.stream(k).generator().bit_generator.state for k in range(n)] == expected
         assert rng.generator().bit_generator.state == expected[0]
 
 
@@ -533,6 +552,20 @@ class TestPathMajorDraws:
             expected = _column_major_batch(params.hurst, beta, grid, rng, n_paths)
             assert batch.tobytes() == expected.tobytes(), n_paths
 
+    @pytest.mark.parametrize("beta", [0.6, 1.0])
+    def test_draws_write_only_the_rows_they_are_given(self, beta):
+        rng = RngSpec(2 ** 64 + 9, 2 ** 32 - 2)
+        buf = np.full(100, np.nan)
+        rows = buf[13:73].reshape(5, 12)
+        u, w = sampling._draws(beta, rng, rows)
+        assert np.isnan(buf[:13]).all() and np.isnan(buf[73:]).all()
+        ref_u, ref_w, ref_z = _numpy_draws(beta, rng, 5, 12)
+        assert rows.tobytes() == ref_z.T.tobytes()
+        if beta == 1.0:
+            assert u.size == w.size == 0
+        else:
+            assert (u.tobytes(), w.tobytes()) == (ref_u.tobytes(), ref_w.tobytes())
+
     def test_kanter_u_from_the_raw_word_is_uniform_bit_for_bit(self):
         bits = np.random.PCG64(np.random.SeedSequence(20260810))
         gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
@@ -576,16 +609,16 @@ class TestStreamedBlocks:
         calls = []
         draws = sampling._draws
 
-        def spy(beta, rng, n_paths, n_normals):
-            calls.append((rng.stream_id, n_paths, n_normals))
-            return draws(beta, rng, n_paths, n_normals)
+        def spy(beta, rng, rows):
+            calls.append((rng.stream_id, rows.shape))
+            return draws(beta, rng, rows)
 
         monkeypatch.setattr(sampling, "_draws", spy)
         block = _block(grid)  # one path past 2^16 - 1 increments
         n_paths = 2 * block + 3
         sample_ggbm_batch(GreyParams(1.2, 0.7), grid, self.RNG, n_paths)
         assert calls == [
-            (self.RNG.stream_id + lo, min(block, n_paths - lo), 2 * grid.n_increments)
+            (self.RNG.stream_id + lo, (min(block, n_paths - lo), 2 * grid.n_increments))
             for lo in range(0, n_paths, block)
         ]
 
@@ -667,6 +700,20 @@ class TestThreadScratch:
             tracemalloc.stop()
         assert held <= path.values.nbytes + 2 ** 14
         assert getattr(sampling._SCRATCH, "work", np.empty(0)).size <= sampling._SCRATCH_KEEP
+
+    def test_long_path_leaves_the_kept_array(self):
+        kept = []
+
+        def draw():
+            for level in (16, 18):
+                sample_ggbm(self.PARAMS, DyadicGrid(level), self.RNG)
+                kept.append(sampling._SCRATCH.work)
+
+        worker = threading.Thread(target=draw)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(kept) == 2
+        assert kept[1] is kept[0] and kept[0].size <= sampling._SCRATCH_KEEP
 
     def test_thread_scratch_goes_with_the_thread(self):
         kept = []
