@@ -22,9 +22,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .errors import GreyVarError, NumericalError
+from .errors import GreyVarError, InputError, NumericalError
 from .inference import (
-    BetaRegion,
     Candidate,
     Label,
     _beta_from_sums,
@@ -50,11 +49,9 @@ from .validation import (
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,
-    check_settings,
     special_identity_report,
 )
 from .variation import (
-    _check_exponent,
     _check_levels,
     p_variation_sum,
     variation_sequence,
@@ -233,7 +230,7 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 1)
     p_values = _field(cfg, "p_values", [float])
-    lo, hi = _field(cfg, "levels", (int, int), required=False, default=(max(1, level - 8), level))
+    lo, hi = _field(cfg, "levels", (int, int), required=False, default=(min(level, max(1, level - 8)), level))
     if lo > hi:
         raise ConfigError(f"config field 'levels' must be [low, high], got {[lo, hi]}")
     levels = _check_levels(range(lo, hi + 1), level)
@@ -273,29 +270,26 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
 # -------------------------------------------------------------- estimate
 
 
-@_reads("alpha", "beta", "level", "n_paths", "p", "fit_levels", "beta_region")
+@_reads("alpha", "beta", "level", "n_paths", "fit_levels")
 def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
     alpha = _field(cfg, "alpha", float)
     beta = _field(cfg, "beta", float)
     params = GreyParams(alpha, beta)
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 100)
-    p = _field(cfg, "p", float, required=False, default=1.0)
-    fit_levels = _field(cfg, "fit_levels", (int, int), required=False, default=(8, level))
-    _check_exponent(p)
-    _check_level_range(fit_levels, level)
-    region_name = _field(cfg, "beta_region", str, required=False, default="auto")
-    if region_name == "auto":
-        region = region_for(params)
-    elif region_name in ("low", "high"):
-        region = BetaRegion(region_name)
-    else:
-        raise ConfigError("beta_region must be 'low', 'high', or 'auto'")
+    fit_levels = _field(cfg, "fit_levels", (int, int), required=False)
+    try:
+        fit_levels = _check_level_range(fit_levels or (8, level), level)
+    except InputError as exc:
+        if fit_levels:
+            raise
+        raise InputError(f"{exc}: config field 'fit_levels' is unset, so it is [8, level] = [8, {level}]") from None
+    region = region_for(params)
     base = _seed_spec(cfg)
 
     def one(i: int):
         path = sample_ggbm(params, DyadicGrid(level), base.stream(i))
-        a = estimate_alpha(path, p, fit_levels)
+        a = estimate_alpha(path, 1.0, fit_levels)
         row = {
             "path": i,
             "alpha_hat": a.alpha_hat,
@@ -416,21 +410,21 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
 # -------------------------------------------------------------- validate
 
 
-@_reads("param_sets", "n_paths", "thetas", "s", "t", "moment_orders", "moment_t", "lags")
+# The one battery: the increment cf over x(1) - x(1/2) at these frequencies,
+# the moments of x(1) of these orders, and the mixing decay at these lags.
+_THETAS, _S, _T = (0.0, 0.5, 1.0, 2.0), 0.5, 1.0
+_MOMENT_ORDERS = (2, 4)
+_LAGS = (1, 2, 4, 8, 16, 32, 64)
+
+
+@_reads("param_sets", "n_paths")
 def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     if _output(cfg, "json")[1] == "csv":
         raise ConfigError("validate writes no table: config field 'format' must be 'json'")
     param_sets = [GreyParams(a, b) for a, b in _field(cfg, "param_sets", [(float, float)])]
     n_paths = _n_paths(cfg, 20000)
-    thetas = tuple(_field(cfg, "thetas", [float], required=False, default=[0.0, 0.5, 1.0, 2.0]))
-    s = _field(cfg, "s", float, required=False, default=0.5)
-    t = _field(cfg, "t", float, required=False, default=1.0)
-    orders = _field(cfg, "moment_orders", [int], required=False, default=[2, 4])
-    moment_t = _field(cfg, "moment_t", float, required=False, default=1.0)
-    lags = _field(cfg, "lags", [int], required=False, default=[1, 2, 4, 8, 16, 32, 64])
     base = _seed_spec(cfg)
-    cf = CfCheckSpec(thetas, s, t, n_paths)
-    check_settings(cf, moment_t, orders, lags)
+    cf = CfCheckSpec(_THETAS, _S, _T, n_paths)
 
     # Each check draws from its own stream offset.  The checks run in order on
     # the calling thread whatever `threads` is: their per-path generator loop
@@ -440,8 +434,8 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
         stream = 1_000_000 + 3 * k * n_paths
         checks += [
             check_increment_cf(params, cf, base.stream(stream)).to_dict(),
-            check_even_moments(params, moment_t, orders, n_paths, base.stream(stream + n_paths)).to_dict(),
-            check_mixing_decay(params, lags, n_paths, base.stream(stream + 2 * n_paths)).to_dict(),
+            check_even_moments(params, _T, _MOMENT_ORDERS, n_paths, base.stream(stream + n_paths)).to_dict(),
+            check_mixing_decay(params, _LAGS, n_paths, base.stream(stream + 2 * n_paths)).to_dict(),
         ]
 
     results = {

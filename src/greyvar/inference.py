@@ -323,8 +323,8 @@ def _check_discrimination(top: int, threshold: float) -> None:
     """Raise the error discriminate raises for a level-top path and threshold."""
     if top < 8:
         raise PreconditionError("discrimination needs a dyadic path of level >= 8")
-    if not threshold > 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < math.inf:
+        raise ParameterError(f"threshold must be positive and finite, got {threshold}")
 
 
 def discriminate(

@@ -362,6 +362,14 @@ class TestVariationCommand:
         regimes = {t["p"]: t["regime"] for t in res["table"]}
         assert regimes == {1.0: "infinite", 2.0: "critical-finite", 3.0: "zero"}
 
+    @pytest.mark.parametrize("level", [0, 1, 5, 10])
+    def test_default_levels_end_at_level(self, level):
+        cfg = {"alpha": 1.2, "beta": 0.7, "level": level, "n_paths": 2, "p_values": [2.0], "master_seed": 3}
+        lo = min(level, max(1, level - 8))
+        res = cmd_variation(cfg)
+        assert res["table"][0]["levels"] == list(range(lo, level + 1))
+        assert dump_report(res) == dump_report(cmd_variation(dict(cfg, levels=[lo, level])))
+
 
 class TestEstimateCommand:
     def test_summary_fields(self):
@@ -370,9 +378,7 @@ class TestEstimateCommand:
             "beta": 1.0,
             "level": 10,
             "n_paths": 20,
-            "p": 1.0,
             "fit_levels": [6, 10],
-            "beta_region": "high",
             "master_seed": 7,
         }
         res = cmd_estimate(cfg)
@@ -443,12 +449,6 @@ class TestValidateCommand:
         cfg = {
             "param_sets": [[1.0, 1.0]],
             "n_paths": 12000,
-            "thetas": [0.0, 1.0],
-            "s": 0.5,
-            "t": 1.0,
-            "moment_orders": [2],
-            "moment_t": 1.0,
-            "lags": [1, 8],
             "master_seed": 21,
         }
         res = cmd_validate(cfg)
@@ -456,23 +456,12 @@ class TestValidateCommand:
         assert kinds == ["special-identities", "increment-cf", "moments", "mixing-decay"]
         assert res["all_passed"]
 
-    @pytest.mark.parametrize("key", ["thetas", "moment_orders"])
-    def test_check_without_rows_is_usage_error(self, key, tmp_path, capsys):
-        path = tmp_path / "c.json"
-        cfg = {"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1, key: []}
-        path.write_text(json.dumps(cfg))
-        assert main(["validate", "--config", str(path)]) == EXIT_USAGE
-        assert "must hold at least one" in capsys.readouterr().err
-
 
 class TestValidateThreads:
     def test_threads_do_not_change_results(self):
         cfg = {
             "param_sets": [[1.0, 1.0], [1.2, 0.6]],
             "n_paths": 10_000,
-            "thetas": [1.0],
-            "moment_orders": [2],
-            "lags": [1, 8],
             "master_seed": 21,
         }
         a = run_config("validate", dict(cfg), threads=1)
@@ -489,8 +478,7 @@ class TestValidateThreads:
 
         monkeypatch.setattr("greyvar.cli.check_even_moments", spy)
         monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
-        cfg = {"param_sets": [[1.0, 1.0], [1.2, 0.6]], "n_paths": 10_000, "thetas": [1.0],
-               "moment_orders": [2], "lags": [1], "master_seed": 21}
+        cfg = {"param_sets": [[1.0, 1.0], [1.2, 0.6]], "n_paths": 10_000, "master_seed": 21}
         run_config("validate", cfg, threads=2)
         assert idents == [threading.get_ident()] * 2
 
@@ -649,7 +637,7 @@ class TestPresets:
         "prop7-trichotomy": "433b7e26ab33536b469b7846cfb36a0ebff3fa558825ef6f26e4791dc80dad90",
         "thm10-grid": "4bb845f546c6a84353e6eada452bf8d6042310f72148d19e9ee15fd957cf937c",
         "fbm-singularity": "36f2dfb09b17145822ec2a1db667006451aff29c0f0b25aeab14b06dab0a01ab",
-        "validate-all": "67c10081783c1eaa3579c8a2197156ab3e4b0044e3e9f1649a96671503959b64",
+        "validate-all": "d1ca855c05a15bd3d8a443688d991cfd38100b74f7c6ae3e4e845253f2473368",
     }
 
     def test_digests_cover_every_preset(self):
@@ -801,6 +789,13 @@ class TestMalformedConfig:
             pytest.param("validate", "param_sets", [], id="param_sets-empty"),
             pytest.param("validate", "moment_orders", [], id="moment_orders-empty"),
             pytest.param("validate", "lags", [], id="lags-empty"),
+            # validate runs one battery, and estimate fits at p = 1 in region_for(params).
+            pytest.param("validate", "thetas", [1.0], id="thetas-retired"),
+            pytest.param("validate", "s", 0.5, id="s-retired"),
+            pytest.param("validate", "t", 1.0, id="t-retired"),
+            pytest.param("validate", "moment_t", 1.0, id="moment_t-retired"),
+            pytest.param("estimate", "p", 1.0, id="p-retired"),
+            pytest.param("estimate", "beta_region", "high", id="beta_region-retired"),
         ],
     )
     def test_usage_error_names_field(self, command, key, value, tmp_path, monkeypatch, capsys):
@@ -962,17 +957,7 @@ class TestValidateChecksSettingsFirst:
 
     @pytest.mark.parametrize(
         ("key", "value", "error", "match"),
-        [
-            ("moment_orders", [3], ParameterError, "orders"),
-            ("moment_t", 2.0, ParameterError, "t must lie"),
-            ("moment_t", 0.3, InputError, "dyadic"),
-            ("lags", [256], InputError, "capped"),
-            ("lags", [0], InputError, "positive"),
-            ("s", 0.3, InputError, "dyadic"),
-            ("thetas", [float("nan")], ParameterError, "thetas"),
-            ("thetas", [1e300], ParameterError, "thetas"),
-            ("param_sets", [[1.0, 1.0], [3.0, 0.5]], ParameterError, "alpha"),
-        ],
+        [("param_sets", [[1.0, 1.0], [3.0, 0.5]], ParameterError, "alpha")],
     )
     def test_no_path_drawn_before_error(self, key, value, error, match, monkeypatch):
         drawn = []
@@ -999,23 +984,25 @@ class TestCommandsCheckSettingsFirst:
             ("variation", {"levels": [5, 20]}, InputError, "outside"),
             ("variation", {"levels": [8, 5]}, ConfigError, "levels"),
             ("variation", {"p_values": [2.0, -1.0]}, ParameterError, "p must be"),
-            ("estimate", {"p": 0.0}, ParameterError, "p must be"),
             ("estimate", {"fit_levels": [8, 10]}, InputError, "3 octaves"),
+            ("estimate", {}, InputError, r"3 octaves: config field 'fit_levels' is unset, .* \[8, 10\]"),
             ("estimate", {"fit_levels": [4, 11]}, InputError, "exceeds"),
             ("estimate", {"fit_levels": [-1, 8]}, InputError, "outside"),
             ("discriminate", {"level": 6}, PreconditionError, "level >= 8"),
             ("discriminate", {"threshold": -1.0}, ParameterError, "threshold"),
+            ("discriminate", {"threshold": float("inf")}, ParameterError, "threshold"),
         ],
         ids=[
             "levels-above-level",
             "levels-descending",
             "p_values-negative",
-            "p-zero",
             "fit_levels-short",
+            "fit_levels-default",
             "fit_levels-above-level",
             "fit_levels-negative",
             "discriminate-level-6",
             "threshold-negative",
+            "threshold-inf",
         ],
     )
     def test_no_path_drawn_before_error(self, command, cfg, error, match, monkeypatch):
@@ -1131,6 +1118,12 @@ class TestCandidateMajorDiscrimination:
     def test_threads_do_not_change_results(self):
         cfg = _discriminate_cfg(_FOUR, record_decisions=True)
         assert len({dump_report(cmd_discriminate(cfg, threads=t)) for t in (1, 2, 4)}) == 1
+
+    def test_record_decisions_only_adds_decisions(self):
+        recorded = cmd_discriminate(_discriminate_cfg(_FOUR, record_decisions=True))
+        for entry in recorded["matrix"]:
+            del entry["decisions"]
+        assert dump_report(recorded) == dump_report(cmd_discriminate(_discriminate_cfg(_FOUR)))
 
     def test_traced_peak_holds_labels_not_decisions(self):
         # Keeping a Decision per (path, pair) here peaks at about 5.8 MiB.

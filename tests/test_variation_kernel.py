@@ -218,8 +218,9 @@ class TestOverflow:
 
 def test_nan_threshold_rejected():
     own, rival = Candidate(GreyParams(ALPHA, 0.7)), Candidate(GreyParams(ALPHA, 0.3))
-    with pytest.raises(ParameterError):
-        discriminate(ggbm_path(DyadicGrid(10)), own, rival, threshold=math.nan)
+    for threshold in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="threshold"):
+            discriminate(ggbm_path(DyadicGrid(10)), own, rival, threshold=threshold)
 
 
 @pytest.mark.parametrize("level", [3.0, True, "3"])
