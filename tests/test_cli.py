@@ -56,7 +56,7 @@ from greyvar.serialize import (
     save_bundle,
     table_csv,
 )
-from greyvar.validation import check_even_moments
+from greyvar.validation import CfCheckSpec, check_even_moments, check_increment_cf, check_mixing_decay
 from greyvar.variation import variation_sequence
 
 
@@ -455,6 +455,16 @@ class TestValidateCommand:
         kinds = [c["check"] for c in res["checks"]]
         assert kinds == ["special-identities", "increment-cf", "moments", "mixing-decay"]
         assert res["all_passed"]
+
+    @pytest.mark.parametrize("key", ["thetas", "moment_orders"])
+    def test_check_without_rows_is_usage_error(self, key, tmp_path, monkeypatch, capsys):
+        # A battery whose check has no rows stops with the check's own message.
+        battery = {"thetas": "_THETAS", "moment_orders": "_MOMENT_ORDERS"}
+        monkeypatch.setattr(f"greyvar.cli.{battery[key]}", ())
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1}))
+        assert main(["validate", "--config", str(path)]) == EXIT_USAGE
+        assert "must hold at least one" in capsys.readouterr().err
 
 
 class TestValidateThreads:
@@ -953,11 +963,22 @@ class TestCsvTables:
 
 
 class TestValidateChecksSettingsFirst:
-    """Every setting of every check is checked before any check runs."""
+    """validate checks its param_sets, and each check of its battery checks
+    its own settings, before any path is drawn."""
 
     @pytest.mark.parametrize(
         ("key", "value", "error", "match"),
-        [("param_sets", [[1.0, 1.0], [3.0, 0.5]], ParameterError, "alpha")],
+        [
+            ("moment_orders", [3], ParameterError, "orders"),
+            ("moment_t", 2.0, ParameterError, "t must lie"),
+            ("moment_t", 0.3, InputError, "dyadic"),
+            ("lags", [256], InputError, "capped"),
+            ("lags", [0], InputError, "positive"),
+            ("s", 0.3, InputError, "dyadic"),
+            ("thetas", [float("nan")], ParameterError, "thetas"),
+            ("thetas", [1e300], ParameterError, "thetas"),
+            ("param_sets", [[1.0, 1.0], [3.0, 0.5]], ParameterError, "alpha"),
+        ],
     )
     def test_no_path_drawn_before_error(self, key, value, error, match, monkeypatch):
         drawn = []
@@ -968,9 +989,17 @@ class TestValidateChecksSettingsFirst:
 
         monkeypatch.setattr("greyvar.validation.sample_ggbm_batch", spy)
         monkeypatch.setattr("greyvar.cli.special_identity_report", _forbidden)
-        cfg = {"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1, key: value}
+        params, rng = GreyParams(1.0, 1.0), RngSpec(1)
+        runs = {
+            "moment_orders": lambda v: check_even_moments(params, 1.0, v, 10_000, rng),
+            "moment_t": lambda v: check_even_moments(params, v, [2], 10_000, rng),
+            "lags": lambda v: check_mixing_decay(params, v, 10_000, rng),
+            "s": lambda v: check_increment_cf(params, CfCheckSpec([1.0], v, 1.0, 10_000), rng),
+            "thetas": lambda v: check_increment_cf(params, CfCheckSpec(v, 0.5, 1.0, 10_000), rng),
+            "param_sets": lambda v: run_config("validate", {"param_sets": v, "n_paths": 10_000, "master_seed": 1}),
+        }
         with pytest.raises(error, match=match):
-            run_config("validate", cfg)
+            runs[key](value)
         assert sum(drawn) == 0
 
 
