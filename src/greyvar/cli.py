@@ -42,7 +42,7 @@ from .sampling import (
     UniformGrid,
     sample_ggbm,
 )
-from .serialize import atomic_write_text, dump_report, path_to_csv, save_bundle, table_csv
+from .serialize import atomic_write_bytes, dump_report, path_to_csv, save_bundle, table_csv
 from .special import theoretical_variation_limit
 from .validation import (
     CfCheckSpec,
@@ -150,7 +150,7 @@ def _write(cfg: dict, results: dict, header: Sequence[str] = (), rows: Sequence 
     CSV table (header, rows) when `format` is csv, the JSON report otherwise."""
     out, fmt = _output(cfg, "json")
     if out:
-        atomic_write_text(out, table_csv(header, rows) if fmt == "csv" else dump_report(results))
+        atomic_write_bytes(out, (table_csv(header, rows) if fmt == "csv" else dump_report(results)).encode())
     return results
 
 
@@ -215,7 +215,7 @@ def cmd_sample(cfg: dict, threads: int = 1) -> dict:
             stem, ext = os.path.splitext(out)
             results["files"] = [f"{stem}_{i:04d}{ext or '.csv'}" for i in range(n_paths)]
         for name, p in zip(results["files"], paths):
-            atomic_write_text(name, path_to_csv(p))
+            atomic_write_bytes(name, path_to_csv(p).encode())
     return results
 
 
@@ -227,7 +227,8 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     alpha = _field(cfg, "alpha", float)
     beta = _field(cfg, "beta", float)
     params = GreyParams(alpha, beta)
-    level = _field(cfg, "level", int)
+    grid = DyadicGrid(_field(cfg, "level", int))
+    level = grid.level
     n_paths = _n_paths(cfg, 1)
     p_values = _field(cfg, "p_values", [float])
     lo, hi = _field(cfg, "levels", (int, int), required=False, default=(min(level, max(1, level - 8)), level))
@@ -238,7 +239,7 @@ def cmd_variation(cfg: dict, threads: int = 1) -> dict:
     base = _seed_spec(cfg)
 
     def one(i: int):
-        path = sample_ggbm(params, DyadicGrid(level), base.stream(i))
+        path = sample_ggbm(params, grid, base.stream(i))
         return {p: [r.value for r in variation_sequence(path, p, levels)] for p in p_values}
 
     rows = _pmap(one, range(n_paths), threads)
@@ -275,7 +276,8 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
     alpha = _field(cfg, "alpha", float)
     beta = _field(cfg, "beta", float)
     params = GreyParams(alpha, beta)
-    level = _field(cfg, "level", int)
+    grid = DyadicGrid(_field(cfg, "level", int))
+    level = grid.level
     n_paths = _n_paths(cfg, 100)
     fit_levels = _field(cfg, "fit_levels", (int, int), required=False)
     try:
@@ -288,7 +290,7 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
     base = _seed_spec(cfg)
 
     def one(i: int):
-        path = sample_ggbm(params, DyadicGrid(level), base.stream(i))
+        path = sample_ggbm(params, grid, base.stream(i))
         a = estimate_alpha(path, 1.0, fit_levels)
         row = {
             "path": i,

@@ -32,7 +32,7 @@ class PreconditionError(GreyVarError):
 
 
 class NumericalError(GreyVarError):
-    """A numerical procedure failed (factorization, embedding, ...)."""
+    """A numerical procedure failed (circulant spectrum, double-range overflow, ...)."""
 
 
 class EstimationError(GreyVarError):

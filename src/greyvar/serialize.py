@@ -6,6 +6,7 @@ Floats are written with Python's shortest round-trip representation.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import os
@@ -21,7 +22,6 @@ from .sampling import DyadicGrid, Grid, RngSpec, SamplePath, UniformGrid
 
 __all__ = [
     "atomic_write_bytes",
-    "atomic_write_text",
     "path_to_csv",
     "path_from_csv",
     "save_bundle",
@@ -44,35 +44,21 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return _fmt(x)
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return str(x)
 
 
 def table_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV with a header line and one line per row.
 
-    Floats (numpy ones too) are written as the shortest round-trip repr,
+    Floats (numpy float64 too) are written as the shortest round-trip repr,
     integers as integers, bools as True/False and None as an empty cell.
     """
-    lines = [",".join(header)]
-    lines += [",".join(map(_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _grid_header(grid: Grid) -> Dict[str, str]:

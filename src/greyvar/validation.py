@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -81,12 +80,9 @@ def _dyadic_points(times: Sequence[float]) -> Tuple[DyadicGrid, List[int]]:
     index of each time on it."""
     level = 0
     for t in times:
-        frac = Fraction(t).limit_denominator(2 ** _MAX_CF_LEVEL)
-        if float(frac) != t:
+        den = float(t).as_integer_ratio()[1]  # a power of two for every finite float
+        if den > 2 ** _MAX_CF_LEVEL:
             raise InputError(f"time {t} is not on a dyadic grid up to level {_MAX_CF_LEVEL}")
-        den = frac.denominator
-        if den & (den - 1) != 0:
-            raise InputError(f"time {t} is not dyadic")
         level = max(level, den.bit_length() - 1)
     grid = DyadicGrid(level)
     return grid, [int(round(t * grid.n_increments)) for t in times]

@@ -231,9 +231,7 @@ class TestSerialization:
     def test_atomic_write_leaves_no_temp_files(self, tmp_path, rng):
         path = sample_ggbm(GreyParams(1.0, 1.0), DyadicGrid(3), rng)
         out = tmp_path / "p.csv"
-        from greyvar.serialize import atomic_write_text
-
-        atomic_write_text(str(out), path_to_csv(path))
+        atomic_write_bytes(str(out), path_to_csv(path).encode())
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
 
 
@@ -1017,6 +1015,9 @@ class TestCommandsCheckSettingsFirst:
             ("estimate", {}, InputError, r"3 octaves: config field 'fit_levels' is unset, .* \[8, 10\]"),
             ("estimate", {"fit_levels": [4, 11]}, InputError, "exceeds"),
             ("estimate", {"fit_levels": [-1, 8]}, InputError, "outside"),
+            ("variation", {"level": -1}, ParameterError, "level must be an integer >= 0"),
+            ("estimate", {"level": -1}, ParameterError, "level must be an integer >= 0"),
+            ("estimate", {"level": -1, "fit_levels": [0, 3]}, ParameterError, "level must be an integer >= 0"),
             ("discriminate", {"level": 6}, PreconditionError, "level >= 8"),
             ("discriminate", {"threshold": -1.0}, ParameterError, "threshold"),
             ("discriminate", {"threshold": float("inf")}, ParameterError, "threshold"),
@@ -1029,6 +1030,9 @@ class TestCommandsCheckSettingsFirst:
             "fit_levels-default",
             "fit_levels-above-level",
             "fit_levels-negative",
+            "variation-level-negative",
+            "estimate-level-negative",
+            "estimate-level-negative-fit_levels",
             "discriminate-level-6",
             "threshold-negative",
             "threshold-inf",
@@ -1198,3 +1202,55 @@ class TestEstimateKeepsCriticalSums:
         # 100 level-14 paths alone hold 12.5 MiB.
         cfg = {"alpha": 1.2, "beta": 0.6, "level": 14, "n_paths": 100, "master_seed": 23}
         assert _traced_peak(lambda: cmd_estimate(cfg)) < 4 * 2**20
+
+
+class TestCsvBytes:
+    """sha256 of each CSV file the commands write for a fixed config and
+    seed: a change to these bytes is a formatting change to declare."""
+
+    SAMPLES = {
+        "dyadic": {"grid": "dyadic", "level": 6, "n_paths": 3},
+        "uniform": {"grid": "uniform", "n": 999, "n_paths": 2},
+    }
+    TABLES = {
+        "variation": {"alpha": 1.2, "beta": 0.7, "level": 8, "n_paths": 3, "p_values": [1.0, 2.0], "levels": [5, 8]},
+        # Some rows have no beta solution: empty beta_hat and beta_boundary cells.
+        "estimate": {"alpha": 1.0, "beta": 0.5, "level": 10, "n_paths": 12, "fit_levels": [6, 10]},
+        # Pair (0, 3) is skipped and writes no row.
+        "discriminate": _discriminate_cfg(_FOUR),
+    }
+    DIGESTS = {
+        "sample-dyadic": [
+            "551fb28232c6eff0fd66b0b766018c805058c3d8441ba16eb542f0b24fff2995",
+            "ea81bf0e758447e3619004454364809c3604e1c9082d226ba52dde036f382e90",
+            "ee55ae89f4d18095a70729510b41a6b8427e7cd214e806f68fe82ee450e45de5",
+        ],
+        "sample-uniform": [
+            "1ff0808142f07d68894f1ccc70ae89e4e07da7ee161837e3536f0ba2992ceffd",
+            "646cfd988fde80c26bcad9f65e3d39a383b200c41469bb806b1d5cd22d64191d",
+        ],
+        "variation": "c1abc600dd68ed6392f6eb5ea4fb3f909689e937dcc77332193bd4c56ec15666",
+        "estimate": "36fbc2659375b05a1ab0e818e11eedc14a4811d9d722bcd1d40c96ceb68fac91",
+        "discriminate": "76c855164d71edcd0c24d57f8b0858e76d5d2b689042f0546dbbb8fe8827336e",
+    }
+
+    @staticmethod
+    def _sha256(path) -> str:
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+
+    @pytest.mark.parametrize("grid", sorted(SAMPLES))
+    def test_sample_files(self, grid, tmp_path):
+        cfg = dict(self.SAMPLES[grid], alpha=1.2, beta=0.7, master_seed=5, out=str(tmp_path / "p.csv"))
+        files = run_config("sample", cfg)["results"]["files"]
+        assert [self._sha256(f) for f in files] == self.DIGESTS[f"sample-{grid}"]
+
+    @pytest.mark.parametrize("command", sorted(TABLES))
+    def test_table(self, command, tmp_path):
+        out = tmp_path / f"{command}.csv"
+        results = run_config(command, dict(self.TABLES[command], master_seed=1, out=str(out), format="csv"))["results"]
+        if command == "estimate":
+            assert any(r["beta_error"] == "NoSolutionError" for r in results["rows"])
+        if command == "discriminate":
+            assert [s["pair"] for s in results["skipped_pairs"]] == [[0, 3]]
+        assert self._sha256(out) == self.DIGESTS[command]
