@@ -8,6 +8,14 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 
+def _real(value, name: str):
+    """value, if it is a real number and not a bool; otherwise a
+    ParameterError naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GreyParams:
     """Parameter pair (alpha, beta) of a generalized grey Brownian motion.
@@ -23,9 +31,7 @@ class GreyParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            _real(getattr(self, name), name)
         if not (0.0 < self.alpha < 2.0):
             raise ParameterError(f"alpha must lie in (0, 2), got {self.alpha}")
         if not (0.0 < self.beta <= 1.0):

@@ -332,11 +332,17 @@ _SCRATCH = threading.local()
 _SCRATCH_KEEP = 4 * (_BLOCK_ENTRIES + 1)
 
 
+def _block_paths(m: int) -> int:
+    """Paths per block of a circulant batch with m increments: at most
+    _BLOCK_ENTRIES half-spectrum entries, and at least one path."""
+    return max(1, _BLOCK_ENTRIES // (m + 1))
+
+
 def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int) -> np.ndarray:
     """(n_points, n_paths) batch of sqrt(Y) times fBm by circulant embedding,
     column i from rng.stream(i), as in sample_ggbm.
 
-    Paths are drawn in blocks of _BLOCK_ENTRIES // (m + 1) paths, at least one:
+    Paths are drawn in blocks of _block_paths(m) paths:
     each block's normals are transformed back into their own rows and summed
     into its columns of the output, so a batch holds its output and one block,
     in the thread's work array.
@@ -358,7 +364,7 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
     with _PLAN_LOCK:
         root = _circulant_sqrt_spectrum(hurst, m)
 
-    block = max(1, _BLOCK_ENTRIES // (m + 1))
+    block = _block_paths(m)
     # A new work array comes before the output, which outlives the call: in
     # the other order the peak resident memory of a run of long single paths
     # is about 0.3 MB higher.

@@ -17,8 +17,8 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .params import GreyParams
-from .sampling import DyadicGrid, RngSpec, _as_int, sample_ggbm_batch
+from .params import GreyParams, _real
+from .sampling import DyadicGrid, RngSpec, _as_int, _block_paths, sample_ggbm_batch
 from .special import _gauss_panels, mittag_leffler, mwright_pdf
 from .special import gamma as _gamma
 
@@ -36,9 +36,11 @@ __all__ = [
 ]
 
 Z_PASS = 4.0
+# At most _CHUNK paths and _CHUNK_NORMALS normals (2m per path) per summation
+# chunk: these bounds fix the order in which the rows are summed, and with it
+# the result bytes.  They do not bound memory, as each sampler block is
+# reduced to its rows as soon as it is drawn.
 _CHUNK = 25_000
-# Normals per chunk, 2m per path: the chunk's batch holds about half as many
-# floats of output (16 MiB), as the sampler draws the normals in small blocks.
 _CHUNK_NORMALS = 2 ** 22
 _MAX_CF_LEVEL = 12
 
@@ -53,18 +55,36 @@ class CfCheckSpec:
     n_paths: int
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(x) for x in self.thetas))
+        thetas = _sequence(self.thetas, "thetas")
+        object.__setattr__(self, "thetas", tuple(_float(x, f"thetas[{i}]") for i, x in enumerate(thetas)))
         if not self.thetas:
             raise ParameterError("thetas must hold at least one frequency")
         # theta^2 |t - s|^alpha / 2 is the Mittag-Leffler argument, and |t - s| <= 1.
         if not all(math.isfinite(x * x) for x in self.thetas):
             raise ParameterError(f"thetas must have finite squares, got {list(self.thetas)}")
-        if self.s == self.t:
+        if _real(self.s, "s") == _real(self.t, "t"):
             raise ParameterError("s and t must differ")
         if not (0.0 <= self.s <= 1.0 and 0.0 <= self.t <= 1.0):
             raise ParameterError("times must lie in [0, 1]")
         n_paths = _path_count(self.n_paths, 10_000, "characteristic-function checks need >= 1e4 paths")
         object.__setattr__(self, "n_paths", n_paths)
+
+
+def _float(value, name: str) -> float:
+    """value as a float, if it is a real number in the double range and not a
+    bool; otherwise a ParameterError naming name."""
+    try:
+        return float(_real(value, name))
+    except OverflowError:
+        raise ParameterError(f"{name} is outside the double range, got {value!r}") from None
+
+
+def _sequence(values, name: str) -> tuple:
+    """values as a tuple; a non-iterable is a ParameterError naming name."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence, got {values!r}") from None
 
 
 def _path_count(n_paths, minimum: int, too_few: str) -> int:
@@ -95,17 +115,30 @@ def _means(
     rng: RngSpec,
     stats: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[np.ndarray, List[float]]:
-    """Mean and standard error of each row of stats(batch), a (rows, paths)
-    array, over n_paths ggBm paths in batches of at most _CHUNK paths and, past
-    one path, _CHUNK_NORMALS normals (2m per path); path d is always drawn from
-    substream rng.stream(d), whatever the chunk size."""
+    """Mean and standard error of each row of stats(batch) over n_paths ggBm
+    paths, where stats maps a (points, paths) batch column by column to a
+    (rows, paths) array.
+
+    The rows are summed in chunks of at most _CHUNK paths and, past one path,
+    _CHUNK_NORMALS normals (2m per path).  Each chunk is drawn one sampler
+    block at a time, and each block is reduced to its rows as soon as it is
+    drawn, so a check holds one block and its chunk's rows.  Path d is always
+    drawn from substream rng.stream(d), whatever the chunk and block sizes.
+    """
     n_paths = _path_count(n_paths, 1, "a check needs at least one path, got {}")
     chunk = min(_CHUNK, max(1, _CHUNK_NORMALS // (2 * grid.n_increments)))
+    block = _block_paths(grid.n_increments)
     sums = sq_sums = 0.0
     for done in range(0, n_paths, chunk):
-        rows = stats(sample_ggbm_batch(params, grid, rng.stream(done), min(chunk, n_paths - done)))
+        end = min(done + chunk, n_paths)
+        rows = np.concatenate(
+            [stats(sample_ggbm_batch(params, grid, rng.stream(d), min(block, end - d)))
+             for d in range(done, end, block)],
+            axis=1,
+        )
         sums = sums + rows.sum(axis=1)
-        sq_sums = sq_sums + (rows * rows).sum(axis=1)
+        rows *= rows
+        sq_sums = sq_sums + rows.sum(axis=1)
     mean = sums / n_paths
     # Per scalar: numpy squares an array by x * x but a scalar by pow().
     se = [math.sqrt(max(sq / n_paths - m ** 2, 0.0) / n_paths) for sq, m in zip(sq_sums, mean)]
@@ -203,12 +236,15 @@ def check_even_moments(
 ) -> CheckReport:
     """Sample moments of x(t) against the closed form; each even order is
     paired with the preceding odd order, which must vanish."""
+    orders = _sequence(orders, "orders")
     if not orders:
         raise ParameterError("orders must hold at least one moment order")
     for order in orders:
+        if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+            raise ParameterError(f"orders must be integers, got {order!r}")
         if order <= 0 or order % 2 != 0 or order > 4:
             raise ParameterError("orders must be even, positive, and at most 4")
-    if not (0.0 < t <= 1.0):
+    if not (0.0 < _real(t, "t") <= 1.0):
         raise ParameterError("t must lie in (0, 1]")
     grid, (i_t,) = _dyadic_points([t])
     all_orders = sorted({o for order in orders for o in (order - 1, order)})
@@ -238,8 +274,13 @@ def gauss_legendre_integral(
     f is called once, on the 1-d array of all panels' nodes, and returns
     one value per node, or one row of values per node to integrate several
     integrands over the same nodes.  Returns a float, or an array with one
-    integral per column.
+    integral per column.  panels and order are integers >= 1, and a and b
+    finite reals; anything else is a ParameterError.
     """
+    panels, order = _as_int(panels, 1, "panels"), _as_int(order, 1, "order")
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(_float(value, name)):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
     x, w = _gauss_panels(np.linspace(a, b, panels + 1), order)
     total = np.tensordot(w, np.asarray(f(x), dtype=float), axes=1)
     return float(total) if total.ndim == 0 else total
@@ -317,12 +358,12 @@ def check_mixing_decay(
     grid = DyadicGrid(max(1, math.ceil(math.log2(lags[-1]))))
     level = grid.level
     scale = float(grid.n_increments) ** (params.alpha / 2.0)
+    ends = np.array([1, *lags])  # increment j runs from point j - 1 to point j
 
     def stats(batch):
         # Rows: f(inc_1), then f(inc_lag) per lag, then f(inc_1) f(inc_lag) per lag.
-        f = np.tanh(np.diff(batch, axis=0) * scale)
-        f_lags = [f[lag - 1] for lag in lags]
-        return np.array([f[0], *f_lags, *(f[0] * fj for fj in f_lags)])
+        f = np.tanh((batch[ends] - batch[ends - 1]) * scale)
+        return np.concatenate([f, f[0] * f[1:]])
 
     mean, se = _means(params, grid, n_paths, rng, stats)
     k = len(lags)

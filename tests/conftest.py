@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,16 @@ MASTER_SEED = 20260810
 @pytest.fixture
 def rng():
     return RngSpec(MASTER_SEED, 0)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def gl_quad(f, a, b, panels=24, order=48):

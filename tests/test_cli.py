@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 import zipfile
 
 import numpy as np
@@ -58,6 +57,8 @@ from greyvar.serialize import (
 )
 from greyvar.validation import CfCheckSpec, check_even_moments, check_increment_cf, check_mixing_decay
 from greyvar.variation import variation_sequence
+
+from conftest import traced_peak
 
 
 
@@ -831,7 +832,7 @@ class TestMalformedConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**self.BASE[command], "level": level, "master_seed": 1}))
         code = []
-        peak = _traced_peak(lambda: code.append(main([command, "--config", str(path)])))
+        peak = traced_peak(lambda: code.append(main([command, "--config", str(path)])))
         assert code == [EXIT_USAGE]
         assert f"grid size 2^{level} exceeds the circulant cap 2^24" in capsys.readouterr().err
         assert peak < 2 ** 20
@@ -1056,16 +1057,6 @@ class TestCommandsCheckSettingsFirst:
         assert drawn == []
 
 
-def _traced_peak(fn) -> int:
-    """Peak bytes that tracemalloc sees while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # Pair (0, 3) is identical and skipped; (0, 1) has equal alpha.
 _FOUR = [[1.0, 0.3], [1.0, 0.9], [1.4, 0.7], [1.0, 0.3]]
 
@@ -1163,7 +1154,7 @@ class TestCandidateMajorDiscrimination:
         cfg = load_preset("thm10-grid")
         cfg.pop("command")
         cfg.update(level=8, n_paths=1000)
-        assert _traced_peak(lambda: cmd_discriminate(cfg)) < 4 * 2**20
+        assert traced_peak(lambda: cmd_discriminate(cfg)) < 4 * 2**20
 
 
 class TestEstimateKeepsCriticalSums:
@@ -1201,7 +1192,7 @@ class TestEstimateKeepsCriticalSums:
     def test_traced_peak_is_below_the_paths(self):
         # 100 level-14 paths alone hold 12.5 MiB.
         cfg = {"alpha": 1.2, "beta": 0.6, "level": 14, "n_paths": 100, "master_seed": 23}
-        assert _traced_peak(lambda: cmd_estimate(cfg)) < 4 * 2**20
+        assert traced_peak(lambda: cmd_estimate(cfg)) < 4 * 2**20
 
 
 class TestCsvBytes:

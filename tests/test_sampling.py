@@ -31,7 +31,7 @@ from greyvar.sampling import (
 from greyvar.special import mwright_moment
 from greyvar.variation import p_variation_sum
 
-from conftest import fbm_cholesky_batch, fbm_covariance
+from conftest import fbm_cholesky_batch, fbm_covariance, traced_peak
 
 
 class TestCovariance:
@@ -134,16 +134,14 @@ class TestCirculant:
         # 2^14285 has more digits than Python converts to text, and 2^(10^9)
         # takes 125 MB: the level is checked before 2^level is formed.
         match = rf"grid size 2\^{level} exceeds the circulant cap 2\^24"
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(CapacityError, match=match):
                 sample_ggbm(GreyParams(2 * 0.5, 1.0), DyadicGrid(level), rng)
             with pytest.raises(CapacityError, match=match):
                 sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(level), rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+
+        assert traced_peak(refuse) < 2 ** 20
 
     def test_cached_spectrum_is_shared_and_read_only(self):
         root = _circulant_sqrt_spectrum(0.7, 16)
@@ -306,25 +304,20 @@ class TestGgbm:
     def test_uniform_odd_grid_and_cap(self, rng):
         path = sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(5001), rng)
         assert len(path.values) == 5002 and np.all(np.isfinite(path.values))
-        tracemalloc.start()
-        try:
+
+        def refuse():
             with pytest.raises(CapacityError, match="circulant cap"):
                 sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(2 ** 24 + 1), rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20  # the cap is checked before any array is built
+
+        assert traced_peak(refuse) < 2 ** 20  # the cap is checked before any array is built
 
     def test_uniform_size_too_long_to_format(self, rng):
         # 10^5000 has more digits than Python converts to text.
-        tracemalloc.start()
-        try:
+        def refuse():
             with pytest.raises(CapacityError, match=r"grid size at least 2\^16609 exceeds the circulant cap"):
                 sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(10 ** 5000), rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+
+        assert traced_peak(refuse) < 2 ** 20
 
     def test_never_factorises(self, rng, monkeypatch):
         def refuse(a):
@@ -628,12 +621,7 @@ class TestStreamedBlocks:
         # spectrum and output at once.  The output alone is 4.96 / 9.92 MiB.
         params = GreyParams(1.2, 0.7)
         sample_ggbm_batch(params, DyadicGrid(6), self.RNG, 10)
-        tracemalloc.start()
-        try:
-            sample_ggbm_batch(params, DyadicGrid(6), self.RNG, n_paths)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: sample_ggbm_batch(params, DyadicGrid(6), self.RNG, n_paths))
         assert peak < bound_mib * 2 ** 20
 
 
@@ -680,13 +668,9 @@ class TestThreadScratch:
         # 0.125 and 0.5 MiB, as the normals and spectrum were new each path.
         grid = DyadicGrid(level)
         sample_ggbm(self.PARAMS, grid, self.RNG)
-        tracemalloc.start()
-        try:
-            path = sample_ggbm(self.PARAMS, grid, self.RNG.stream(1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= path.values.nbytes + 0.1 * 2 ** 20
+        paths = []
+        peak = traced_peak(lambda: paths.append(sample_ggbm(self.PARAMS, grid, self.RNG.stream(1))))
+        assert peak <= paths[0].values.nbytes + 0.1 * 2 ** 20
 
     def test_long_path_keeps_nothing(self):
         # Build the L18 spectrum plan, then keep an L16 path's work array.
@@ -782,13 +766,7 @@ class TestSamplerPlans:
         # The 2m-row complex buffer of a full FFT alone is 2 MiB at level 16.
         params = GreyParams(1.2, 0.7)
         sample_ggbm(params, DyadicGrid(16), rng)
-        tracemalloc.start()
-        try:
-            sample_ggbm(params, DyadicGrid(16), rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 8 * 2 ** 16
+        assert traced_peak(lambda: sample_ggbm(params, DyadicGrid(16), rng)) < 10 * 8 * 2 ** 16
 
 
 class TestGridSize:

@@ -19,6 +19,7 @@ from greyvar.validation import (
     special_identity_report,
 )
 
+from conftest import traced_peak
 
 
 class TestCfCheckSpec:
@@ -32,6 +33,30 @@ class TestCfCheckSpec:
         spec = CfCheckSpec((1.0,), 0.3, 1.0, 20000)
         with pytest.raises(InputError):
             check_increment_cf(GreyParams(1.0, 1.0), spec, rng)
+
+    @pytest.mark.parametrize(
+        ("thetas", "s", "t", "match"),
+        [
+            (("a",), 0.0, 1.0, r"^thetas\[0\] must be a real number"),
+            ((1.0, True), 0.0, 1.0, r"^thetas\[1\] must be a real number"),
+            ((1.0, 10 ** 400), 0.0, 1.0, r"^thetas\[1\] is outside the double range"),
+            (1.0, 0.0, 1.0, "^thetas must be a sequence"),
+            (None, 0.0, 1.0, "^thetas must be a sequence"),
+            ((1.0,), None, 1.0, "^s must be a real number"),
+            ((1.0,), "0.5", 1.0, "^s must be a real number"),
+            ((1.0,), True, 1.0, "^s must be a real number"),
+            ((1.0,), 0.0, np.bool_(True), "^t must be a real number"),
+            ((1.0,), 0.0, 1j, "^t must be a real number"),
+        ],
+    )
+    def test_non_real_field_is_named(self, thetas, s, t, match):
+        with pytest.raises(ParameterError, match=match):
+            CfCheckSpec(thetas, s, t, 10_000)
+
+    def test_times_are_stored_as_given(self):
+        spec = CfCheckSpec(np.array([1, 2]), np.float64(0.5), 1, 10_000)
+        assert spec.thetas == (1.0, 2.0) and all(type(x) is float for x in spec.thetas)
+        assert type(spec.s) is np.float64 and type(spec.t) is int
 
 
 class TestIncrementCf:
@@ -98,6 +123,27 @@ class TestEvenMoments:
             check_even_moments(GreyParams(1.0, 1.0), 1.0, [3], 20000, rng)
         with pytest.raises(ParameterError):
             check_even_moments(GreyParams(1.0, 1.0), 1.0, [6], 20000, rng)
+
+    @pytest.mark.parametrize(
+        ("t", "orders", "match"),
+        [
+            (True, [2], "^t must be a real number"),
+            ("1", [2], "^t must be a real number"),
+            (None, [2], "^t must be a real number"),
+            (1.0, [2.0], "^orders must be integers, got 2.0"),
+            (1.0, ["2"], "^orders must be integers"),
+            (1.0, [2, True], "^orders must be integers, got True"),
+            (1.0, 2, "^orders must be a sequence"),
+        ],
+    )
+    def test_non_real_field_is_named(self, t, orders, match, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
+        with pytest.raises(ParameterError, match=match):
+            check_even_moments(GreyParams(1.0, 1.0), t, orders, 20000, rng)
+
+    def test_numpy_integer_orders_and_time(self, rng):
+        report = check_even_moments(GreyParams(1.0, 1.0), np.float64(0.5), np.array([2]), 10_000, rng)
+        assert [r.order for r in report.rows] == [1, 2] and report.to_dict()["t"] == 0.5
 
 
 class TestMixingDecay:
@@ -199,16 +245,86 @@ class TestCheckReport:
     def test_means_chunks_hold_at_most_2_to_the_22_normals(self, level, n_paths, chunks, rng, monkeypatch):
         calls = _spy_sampler(monkeypatch)
         validation._means(GreyParams(1.2, 0.6), DyadicGrid(level), n_paths, rng, lambda b: b[-1:])
-        assert [n for _, _, n in calls] == chunks
-        assert {grid for grid, _, _ in calls} == {DyadicGrid(level)}
-        starts = np.cumsum([0] + chunks[:-1]).tolist()
-        assert [stream for _, stream, _ in calls] == [rng.stream(d) for d in starts]
+        _assert_block_draws(calls, DyadicGrid(level), chunks, rng)
 
     def test_cf_check_on_a_level_12_gap_draws_small_chunks(self, rng, monkeypatch):
         calls = _spy_sampler(monkeypatch)
         spec = CfCheckSpec((1.0,), 0.0, 2.0 ** -12, 25_000)
         assert check_increment_cf(GreyParams(1.2, 0.6), spec, rng).rows[0].empirical_re == 1.0
-        assert [(grid, n) for grid, _, n in calls] == [(DyadicGrid(12), 512)] * 48 + [(DyadicGrid(12), 424)]
+        _assert_block_draws(calls, DyadicGrid(12), [512] * 48 + [424], rng)
+
+
+def _assert_block_draws(calls, grid, chunks, rng):
+    """The spied draws on grid are at most one sampler block each, follow
+    substream order over [0, sum(chunks)), and break at every summation-chunk
+    boundary: each chunk is drawn in full blocks and one remainder."""
+    block = max(1, 2 ** 16 // (grid.n_increments + 1))
+    sizes = [n for _, _, n in calls]
+    assert max(sizes) <= block
+    assert sizes == [min(block, c - lo) for c in chunks for lo in range(0, c, block)]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
+    assert set(np.cumsum([0] + chunks[:-1]).tolist()) <= set(starts)
+    assert calls == [(grid, rng.stream(d), n) for d, n in zip(starts, sizes)]
+
+
+def _whole_chunk_means(params, grid, n_paths, rng, stats):
+    """validation._means with one sample_ggbm_batch call per summation chunk,
+    the whole chunk reduced by stats at once."""
+    chunk = min(validation._CHUNK, max(1, validation._CHUNK_NORMALS // (2 * grid.n_increments)))
+    sums = sq_sums = 0.0
+    for done in range(0, n_paths, chunk):
+        rows = stats(sample_ggbm_batch(params, grid, rng.stream(done), min(chunk, n_paths - done)))
+        sums = sums + rows.sum(axis=1)
+        sq_sums = sq_sums + (rows * rows).sum(axis=1)
+    mean = sums / n_paths
+    return mean, [math.sqrt(max(sq / n_paths - m ** 2, 0.0) / n_paths) for sq, m in zip(sq_sums, mean)]
+
+
+def _tanh_of_all_increments(params, grid, lags):
+    """The mixing check's rows from tanh of every increment of the batch."""
+    scale = float(grid.n_increments) ** (params.alpha / 2.0)
+
+    def stats(batch):
+        f = np.tanh(np.diff(batch, axis=0) * scale)
+        f_lags = [f[lag - 1] for lag in lags]
+        return np.array([f[0], *f_lags, *(f[0] * fj for fj in f_lags)])
+
+    return stats
+
+
+class TestBlockReduction:
+    """Each sampler block is reduced to its rows as it is drawn; the reports
+    keep the bytes of one whole-chunk draw per summation chunk."""
+
+    CASES = {
+        "cf-L2": lambda p, r: check_increment_cf(p, CfCheckSpec((0.5, 1.0, 2.0), 0.25, 0.75, 20_000), r),
+        "cf-L12": lambda p, r: check_increment_cf(p, CfCheckSpec((1.0, 2.0), 0.5, 0.5 + 2.0 ** -12, 10_000), r),
+        "moments-L3": lambda p, r: check_even_moments(p, 0.375, [2, 4], 20_000, r),
+        "mixing-L3": lambda p, r: check_mixing_decay(p, [1, 3, 8], 20_000, r),
+        # Two summation chunks, 16,384 and 3,616 paths, at 508 paths a block.
+        "mixing-L7": lambda p, r: check_mixing_decay(p, [1, 2, 100, 128], 20_000, r),
+    }
+
+    @pytest.mark.parametrize("beta", [1.0, 0.6])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reports_equal_whole_chunk_reference(self, case, beta, rng, monkeypatch):
+        params, check = GreyParams(1.2, beta), self.CASES[case]
+        report = check(params, rng.stream(70))
+
+        def reference(params, grid, n_paths, rng, stats):
+            if case.startswith("mixing"):
+                stats = _tanh_of_all_increments(params, grid, sorted(r.lag for r in report.rows))
+            return _whole_chunk_means(params, grid, n_paths, rng, stats)
+
+        monkeypatch.setattr(validation, "_means", reference)
+        assert repr(report.to_dict()) == repr(check(params, rng.stream(70)).to_dict())
+
+    def test_warm_mixing_check_holds_one_block(self, rng):
+        # Drawn and reduced one summation chunk at a time, this check peaked
+        # at 29.5 MiB; one sampler block at a time, at 4.6 MiB.
+        params, lags = GreyParams(1.2, 0.6), (1, 2, 4, 8, 16, 32, 64)
+        check_mixing_decay(params, lags, 2_000, rng)  # the plan and a full block's work array
+        assert traced_peak(lambda: check_mixing_decay(params, lags, 20_000, rng)) < 6 * 2 ** 20
 
 class TestChecksWithoutRows:
     def test_cf_needs_a_frequency(self):
@@ -260,6 +376,32 @@ class TestGaussLegendre:
         assert vals == pytest.approx([2.0, 2.0, 4.0], rel=1e-14)
         assert type(gauss_legendre_integral(np.cos, 0.0, 1.0)) is float
         assert gauss_legendre_integral(np.cos, 0.0, 1.0) == pytest.approx(math.sin(1.0), rel=1e-14)
+
+    def test_integer_inputs(self):
+        value = gauss_legendre_integral(np.cos, 0, 1, panels=np.int64(2), order=np.int64(8))
+        assert value == pytest.approx(math.sin(1.0), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [
+            ({"panels": 0}, "^panels must be an integer >= 1"),
+            ({"panels": -2}, "^panels must be an integer >= 1"),
+            ({"panels": 2.5}, "^panels must be an integer >= 1"),
+            ({"panels": True}, "^panels must be an integer >= 1"),
+            ({"order": 0}, "^order must be an integer >= 1"),
+            ({"order": True}, "^order must be an integer >= 1"),
+            ({"order": 8.0}, "^order must be an integer >= 1"),
+            ({"b": math.inf}, "^b must be finite"),
+            ({"a": -math.inf}, "^a must be finite"),
+            ({"a": math.nan}, "^a must be finite"),
+            ({"b": 10 ** 400}, "^b is outside the double range"),
+            ({"b": "1"}, "^b must be a real number"),
+            ({"a": False}, "^a must be a real number"),
+        ],
+    )
+    def test_bad_input_is_a_parameter_error(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            gauss_legendre_integral(_forbidden, **{"a": 0.0, "b": 1.0, **kwargs})
 
 
 class TestSpecialIdentityReport:

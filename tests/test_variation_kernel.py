@@ -6,7 +6,6 @@ import importlib.util
 import math
 import os
 import pickle
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -24,7 +23,7 @@ from greyvar.variation import (
     variation_trichotomy,
 )
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, traced_peak
 
 ALPHA = 1.2
 EXPONENTS = (0.5, 1.0, 2.0, 3.0, 2.0 / ALPHA)
@@ -145,15 +144,7 @@ class TestReadOnlyValues:
 def test_kernel_allocates_one_increment_buffer():
     path = ggbm_path(DyadicGrid(16))
     buffer_bytes = path.grid.n_increments * 8
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        p_variation_sum(path, 2.0 / ALPHA)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * buffer_bytes
+    assert traced_peak(lambda: p_variation_sum(path, 2.0 / ALPHA)) < 1.5 * buffer_bytes
 
 
 def test_shared_path_across_threads_matches_serial():
