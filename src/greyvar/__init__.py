@@ -55,7 +55,6 @@ from .special import (
     theoretical_variation_limit,
 )
 from .validation import (
-    CfCheckSpec,
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,

@@ -45,7 +45,6 @@ from .sampling import (
 from .serialize import atomic_write_bytes, dump_report, path_to_csv, save_bundle, table_csv
 from .special import theoretical_variation_limit
 from .validation import (
-    CfCheckSpec,
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,
@@ -426,7 +425,6 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     param_sets = [GreyParams(a, b) for a, b in _field(cfg, "param_sets", [(float, float)])]
     n_paths = _n_paths(cfg, 20000)
     base = _seed_spec(cfg)
-    cf = CfCheckSpec(_THETAS, _S, _T, n_paths)
 
     # Each check draws from its own stream offset.  The checks run in order on
     # the calling thread whatever `threads` is: their per-path generator loop
@@ -435,7 +433,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     for k, params in enumerate(param_sets):
         stream = 1_000_000 + 3 * k * n_paths
         checks += [
-            check_increment_cf(params, cf, base.stream(stream)).to_dict(),
+            check_increment_cf(params, _THETAS, _S, _T, n_paths, base.stream(stream)).to_dict(),
             check_even_moments(params, _T, _MOMENT_ORDERS, n_paths, base.stream(stream + n_paths)).to_dict(),
             check_mixing_decay(params, _LAGS, n_paths, base.stream(stream + 2 * n_paths)).to_dict(),
         ]

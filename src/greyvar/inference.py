@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .params import GreyParams
+from .params import GreyParams, _real
 from .sampling import SamplePath
 from .special import GAMMA_ARGMIN, GAMMA_MIN, gamma, normal_abs_moment, theoretical_variation_limit
 from .variation import _check_levels, p_variation_sum, variation_sequence
@@ -237,8 +237,10 @@ def _beta_from_target(alpha: float, target: float, region: BetaRegion) -> Tuple[
 
 def _beta_estimate(alpha: float, paths: Sequence[SamplePath], region: BetaRegion) -> BetaEstimate:
     """Beta from the mean critical variation of paths at known alpha."""
-    if not (0.0 < alpha < 2.0):
+    if not (0.0 < _real(alpha, "alpha") < 2.0):
         raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    if not isinstance(region, BetaRegion):
+        raise ParameterError(f"region must be a BetaRegion, got {region!r}")
     return _beta_from_sums(alpha, [p_variation_sum(p, 2.0 / alpha).value for p in paths], region)
 
 
@@ -323,7 +325,7 @@ def _check_discrimination(top: int, threshold: float) -> None:
     """Raise the error discriminate raises for a level-top path and threshold."""
     if top < 8:
         raise PreconditionError("discrimination needs a dyadic path of level >= 8")
-    if not 0.0 < threshold < math.inf:
+    if not 0.0 < _real(threshold, "threshold") < math.inf:
         raise ParameterError(f"threshold must be positive and finite, got {threshold}")
 
 

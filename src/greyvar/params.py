@@ -11,9 +11,20 @@ from .errors import ParameterError
 def _real(value, name: str):
     """value, if it is a real number and not a bool; otherwise a
     ParameterError naming name."""
+    if type(value) is float:  # skips the slower abstract-class check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
     return value
+
+
+def _sequence(values, name: str, error=ParameterError) -> list:
+    """values as a list; a non-iterable raises error (a ParameterError unless
+    given) naming name."""
+    try:
+        return list(values)
+    except TypeError:
+        raise error(f"{name} must be a sequence, got {values!r}") from None
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError, ParameterError
-from .params import GreyParams
+from .params import GreyParams, _real
 
 __all__ = [
     "RngSpec",
@@ -427,7 +427,7 @@ def _mwright_log_kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray
 def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
     """Draw(s) of the M-Wright subordinator Y: S^(-beta) for one-sided
     stable S, which has density M_beta; beta = 1 is the unit point mass."""
-    if not (0.0 < beta <= 1.0):
+    if not (0.0 < _real(beta, "beta") <= 1.0):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
     n = 1 if size is None else _as_int(size, 0, "size")
     if beta == 1.0:

@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .params import GreyParams
+from .params import GreyParams, _real
 from .sampling import _kanter_log_y
 
 __all__ = [
@@ -72,7 +72,7 @@ def _finite(f: Callable[..., float]) -> Callable[..., float]:
 @_finite
 def gamma(x: float) -> float:
     """Gamma function on the positive axis (double precision)."""
-    if not x > 0.0:
+    if not _real(x, "x") > 0.0:
         raise ParameterError(f"gamma requires a positive argument, got {x}")
     return math.gamma(x)
 
@@ -106,9 +106,9 @@ def mittag_leffler(beta: float, s: float) -> float:
     exponential cutoff and around the kernel peak at u = -cos(pi b)
     (present for b > 1/2).  The integrand is positive, so nothing cancels.
     """
-    if not (0.0 < beta <= 1.0):
+    if not (0.0 < _real(beta, "beta") <= 1.0):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    if not math.isfinite(s):
+    if not math.isfinite(_real(s, "s")):
         raise InputError(f"s must be finite, got {s}")
     if s < 0.0:
         raise InputError(f"s must be nonnegative, got {s}")
@@ -200,7 +200,7 @@ def mwright_pdf(beta: float, tau):
     number c tau^c A(0+) where that is larger (the far tail as beta nears
     1).  beta = 1, the point mass at 1, is rejected; samplers special-case it.
     """
-    if beta == 1.0:
+    if _real(beta, "beta") == 1.0:
         raise DegenerateDistributionError("M_1 is the point mass at tau = 1: it has no density")
     if not (0.0 < beta <= _MW_BETA_MAX):
         raise ParameterError(f"beta must lie in (0, {_MW_BETA_MAX}] for the density, got {beta}")
@@ -232,15 +232,15 @@ def mwright_pdf(beta: float, tau):
 
 
 def _log_mwright_moment(beta: float, delta: float) -> float:
-    if not (0.0 < beta <= 1.0):
+    if not (0.0 < _real(beta, "beta") <= 1.0):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    if not (delta > -1.0):
+    if not (_real(delta, "delta") > -1.0):
         raise ParameterError(f"delta must exceed -1, got {delta}")
     return math.lgamma(delta + 1.0) - math.lgamma(beta * delta + 1.0)
 
 
 def _log_normal_abs_moment(q: float) -> float:
-    if not (q > -1.0):
+    if not (_real(q, "q") > -1.0):
         raise ParameterError(f"q must exceed -1, got {q}")
     return 0.5 * q * math.log(2.0) + math.lgamma(0.5 * (q + 1.0)) - 0.5 * math.log(math.pi)
 
@@ -265,7 +265,7 @@ def ggbm_abs_moment(beta: float, p: float) -> float:
     Gaussian marginal at t = 1, so the moment splits into
     Gamma(p/2+1)/Gamma(beta*p/2+1) times E|Z|^p.  Independent of alpha.
     """
-    if not (p > 0.0):
+    if not (_real(p, "p") > 0.0):
         raise ParameterError(f"p must be positive, got {p}")
     return math.exp(_log_mwright_moment(beta, 0.5 * p) + _log_normal_abs_moment(p))
 

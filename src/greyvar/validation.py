@@ -1,9 +1,10 @@
 """Statistical verification of the distributional laws of the simulator.
 
-Each Monte Carlo check states a few functionals of seeded ggBm paths and
-their closed-form values.  One accumulator streams the paths and gives each
-functional's mean and standard error, and one CheckReport holds any check's
-rows and its verdict under a 4-standard-error pass policy.
+Each Monte Carlo check takes (params, its settings, n_paths, rng) and states
+a few functionals of seeded ggBm paths and their closed-form values.  One
+accumulator streams the paths and gives each functional's mean and standard
+error, and one CheckReport holds any check's rows, one dict each, and its
+verdict under a 4-standard-error pass policy.
 special_identity_report checks the special functions deterministically.
 """
 
@@ -17,57 +18,22 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .params import GreyParams, _real
+from .params import GreyParams, _real, _sequence
 from .sampling import DyadicGrid, RngSpec, _as_int, _block_paths, sample_ggbm_batch
 from .special import _gauss_panels, mittag_leffler, mwright_pdf
 from .special import gamma as _gamma
 
 __all__ = [
     "CheckReport",
-    "CfCheckSpec",
-    "CfRow",
     "check_increment_cf",
-    "MomentRow",
     "check_even_moments",
-    "MixingRow",
     "check_mixing_decay",
     "gauss_legendre_integral",
     "special_identity_report",
 ]
 
 Z_PASS = 4.0
-# At most _CHUNK paths and _CHUNK_NORMALS normals (2m per path) per summation
-# chunk: these bounds fix the order in which the rows are summed, and with it
-# the result bytes.  They do not bound memory, as each sampler block is
-# reduced to its rows as soon as it is drawn.
-_CHUNK = 25_000
-_CHUNK_NORMALS = 2 ** 22
 _MAX_CF_LEVEL = 12
-
-
-@dataclass(frozen=True)
-class CfCheckSpec:
-    """Increment pair (s, t), probe frequencies, and sample size."""
-
-    thetas: Tuple[float, ...]
-    s: float
-    t: float
-    n_paths: int
-
-    def __post_init__(self):
-        thetas = _sequence(self.thetas, "thetas")
-        object.__setattr__(self, "thetas", tuple(_float(x, f"thetas[{i}]") for i, x in enumerate(thetas)))
-        if not self.thetas:
-            raise ParameterError("thetas must hold at least one frequency")
-        # theta^2 |t - s|^alpha / 2 is the Mittag-Leffler argument, and |t - s| <= 1.
-        if not all(math.isfinite(x * x) for x in self.thetas):
-            raise ParameterError(f"thetas must have finite squares, got {list(self.thetas)}")
-        if _real(self.s, "s") == _real(self.t, "t"):
-            raise ParameterError("s and t must differ")
-        if not (0.0 <= self.s <= 1.0 and 0.0 <= self.t <= 1.0):
-            raise ParameterError("times must lie in [0, 1]")
-        n_paths = _path_count(self.n_paths, 10_000, "characteristic-function checks need >= 1e4 paths")
-        object.__setattr__(self, "n_paths", n_paths)
 
 
 def _float(value, name: str) -> float:
@@ -77,14 +43,6 @@ def _float(value, name: str) -> float:
         return float(_real(value, name))
     except OverflowError:
         raise ParameterError(f"{name} is outside the double range, got {value!r}") from None
-
-
-def _sequence(values, name: str) -> tuple:
-    """values as a tuple; a non-iterable is a ParameterError naming name."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ParameterError(f"{name} must be a sequence, got {values!r}") from None
 
 
 def _path_count(n_paths, minimum: int, too_few: str) -> int:
@@ -119,23 +77,15 @@ def _means(
     paths, where stats maps a (points, paths) batch column by column to a
     (rows, paths) array.
 
-    The rows are summed in chunks of at most _CHUNK paths and, past one path,
-    _CHUNK_NORMALS normals (2m per path).  Each chunk is drawn one sampler
-    block at a time, and each block is reduced to its rows as soon as it is
-    drawn, so a check holds one block and its chunk's rows.  Path d is always
-    drawn from substream rng.stream(d), whatever the chunk and block sizes.
+    The paths are drawn one sampler block at a time, path d from substream
+    rng.stream(d), and each block's row sums and sums of squares are added
+    to the running totals as soon as it is drawn, so a check holds one block.
     """
     n_paths = _path_count(n_paths, 1, "a check needs at least one path, got {}")
-    chunk = min(_CHUNK, max(1, _CHUNK_NORMALS // (2 * grid.n_increments)))
     block = _block_paths(grid.n_increments)
     sums = sq_sums = 0.0
-    for done in range(0, n_paths, chunk):
-        end = min(done + chunk, n_paths)
-        rows = np.concatenate(
-            [stats(sample_ggbm_batch(params, grid, rng.stream(d), min(block, end - d)))
-             for d in range(done, end, block)],
-            axis=1,
-        )
+    for d in range(0, n_paths, block):
+        rows = stats(sample_ggbm_batch(params, grid, rng.stream(d), min(block, n_paths - d)))
         sums = sums + rows.sum(axis=1)
         rows *= rows
         sq_sums = sq_sums + rows.sum(axis=1)
@@ -154,7 +104,7 @@ def _z_score(emp: float, ref: float, se: float) -> float:
 @dataclass(frozen=True)
 class CheckReport:
     """One Monte Carlo check: its name, the sampled params, the settings that
-    define it, one row per functional, and whether it passed."""
+    define it, one dict per functional, and whether it passed."""
 
     check: str
     params: GreyParams
@@ -169,52 +119,53 @@ class CheckReport:
             "beta": self.params.beta,
             **self.settings,
             "passed": self.passed,
-            "rows": [vars(r) for r in self.rows],
+            "rows": [dict(r) for r in self.rows],
         }
 
 
-@dataclass(frozen=True)
-class CfRow:
-    theta: float
-    empirical_re: float
-    empirical_im: float
-    theoretical: float
-    se_re: float
-    se_im: float
-    z_re: float
-    z_im: float
-
-
-def check_increment_cf(params: GreyParams, spec: CfCheckSpec, rng: RngSpec) -> CheckReport:
-    """Empirical characteristic function of x(t) - x(s) against the
-    Mittag-Leffler law E_beta(-theta^2 |t-s|^alpha / 2)."""
-    grid, (i_s, i_t) = _dyadic_points([spec.s, spec.t])
+def check_increment_cf(
+    params: GreyParams,
+    thetas: Sequence[float],
+    s: float,
+    t: float,
+    n_paths: int,
+    rng: RngSpec,
+) -> CheckReport:
+    """Empirical characteristic function of x(t) - x(s) at each frequency in
+    thetas against the Mittag-Leffler law E_beta(-theta^2 |t-s|^alpha / 2),
+    over n_paths >= 10^4 paths."""
+    thetas = [_float(x, f"thetas[{i}]") for i, x in enumerate(_sequence(thetas, "thetas"))]
+    if not thetas:
+        raise ParameterError("thetas must hold at least one frequency")
+    # theta^2 |t - s|^alpha / 2 is the Mittag-Leffler argument, and |t - s| <= 1.
+    if not all(math.isfinite(x * x) for x in thetas):
+        raise ParameterError(f"thetas must have finite squares, got {thetas}")
+    if _real(s, "s") == _real(t, "t"):
+        raise ParameterError("s and t must differ")
+    if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
+        raise ParameterError("times must lie in [0, 1]")
+    n_paths = _path_count(n_paths, 10_000, "characteristic-function checks need >= 1e4 paths")
+    grid, (i_s, i_t) = _dyadic_points([s, t])
 
     def stats(batch):
         delta = batch[i_t] - batch[i_s]
-        return np.array([f(theta * delta) for theta in spec.thetas for f in (np.cos, np.sin)])
+        return np.array([f(theta * delta) for theta in thetas for f in (np.cos, np.sin)])
 
-    mean, se = _means(params, grid, spec.n_paths, rng, stats)
-    gap = abs(spec.t - spec.s)
+    mean, se = _means(params, grid, n_paths, rng, stats)
+    gap = abs(t - s)
     rows = []
-    for k, theta in enumerate(spec.thetas):
+    for k, theta in enumerate(thetas):
         re, im = float(mean[2 * k]), float(mean[2 * k + 1])
         se_re, se_im = se[2 * k], se[2 * k + 1]
         ref = mittag_leffler(params.beta, 0.5 * theta * theta * gap ** params.alpha)
-        z_re, z_im = _z_score(re, ref, se_re), _z_score(im, 0.0, se_im)
-        rows.append(CfRow(theta, re, im, ref, se_re, se_im, z_re, z_im))
-    passed = all(abs(z) <= Z_PASS for r in rows for z in (r.z_re, r.z_im))
-    settings = {"s": spec.s, "t": spec.t, "level": grid.level}
+        rows.append({
+            "theta": theta, "empirical_re": re, "empirical_im": im, "theoretical": ref,
+            "se_re": se_re, "se_im": se_im,
+            "z_re": _z_score(re, ref, se_re), "z_im": _z_score(im, 0.0, se_im),
+        })
+    passed = all(abs(r[z]) <= Z_PASS for r in rows for z in ("z_re", "z_im"))
+    settings = {"s": s, "t": t, "level": grid.level}
     return CheckReport("increment-cf", params, settings, tuple(rows), passed)
-
-
-@dataclass(frozen=True)
-class MomentRow:
-    order: int
-    empirical: float
-    theoretical: float
-    se: float
-    z: float
 
 
 def even_moment_formula(params: GreyParams, order: int, t: float) -> float:
@@ -254,8 +205,10 @@ def check_even_moments(
     rows = []
     for order, emp, se_k in zip(all_orders, mean, se):
         ref = even_moment_formula(params, order, t) if order % 2 == 0 else 0.0
-        rows.append(MomentRow(order, float(emp), ref, se_k, _z_score(float(emp), ref, se_k)))
-    passed = all(abs(r.z) <= Z_PASS for r in rows)
+        emp = float(emp)
+        rows.append({"order": order, "empirical": emp, "theoretical": ref, "se": se_k,
+                     "z": _z_score(emp, ref, se_k)})
+    passed = all(abs(r["z"]) <= Z_PASS for r in rows)
     return CheckReport("moments", params, {"t": t}, tuple(rows), passed)
 
 
@@ -326,14 +279,6 @@ def special_identity_report() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MixingRow:
-    lag: int
-    covariance: float
-    se: float
-    z: float
-
-
 def check_mixing_decay(
     params: GreyParams,
     lags: Sequence[int],
@@ -347,6 +292,7 @@ def check_mixing_decay(
     so lag j pairs f(increment 1) with f(increment j).  Lag 1 is the
     variance baseline; the decay criterion applies to the largest lag only.
     """
+    lags = _sequence(lags, "lags", InputError)
     for lag in lags:
         if isinstance(lag, bool) or not isinstance(lag, numbers.Integral):
             raise InputError(f"lag {lag!r} is not an integer")
@@ -371,6 +317,7 @@ def check_mixing_decay(
     for i, lag in enumerate(lags):
         cov = mean[1 + k + i] - mean[0] * mean[1 + i]
         se_prod = se[1 + k + i]
-        rows.append(MixingRow(lag, float(cov), se_prod, _z_score(cov, 0.0, se_prod)))
-    passed = bool(abs(rows[-1].z) <= Z_PASS)
+        rows.append({"lag": lag, "covariance": float(cov), "se": se_prod,
+                     "z": _z_score(cov, 0.0, se_prod)})
+    passed = bool(abs(rows[-1]["z"]) <= Z_PASS)
     return CheckReport("mixing-decay", params, {"level": level}, tuple(rows), passed)

@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .errors import InputError, NumericalError, ParameterError
-from .params import GreyParams
+from .params import GreyParams, _real, _sequence
 from .sampling import DyadicGrid, SamplePath
 from .special import theoretical_variation_limit
 
@@ -45,15 +45,15 @@ __all__ = [
 CRITICAL_EXPONENT_TOL = 1e-12
 
 
-def _check_exponent(p: float) -> None:
-    if not 0.0 < p < math.inf:
-        raise ParameterError(f"p must be finite and positive, got {p}")
+def _check_exponent(p: float, name: str = "p") -> None:
+    if not 0.0 < _real(p, name) < math.inf:
+        raise ParameterError(f"{name} must be finite and positive, got {p}")
 
 
 def _check_levels(levels: Iterable[int], top: int) -> List[int]:
     """levels as a list, or the InputError variation_sequence raises for
     them on a level-top path."""
-    levels = list(levels)
+    levels = _sequence(levels, "levels", InputError)
     for level in levels:
         if isinstance(level, bool) or not isinstance(level, numbers.Integral):
             raise InputError(f"level {level!r} is not an integer")
@@ -108,9 +108,8 @@ def _level_sum(path: SamplePath, level: int, p: float) -> float:
     dyadic path, or over all points of a uniform path (level = n).
 
     The only code that evaluates a variation sum.  Each (level, p) sum is
-    computed once per path and kept on it.
+    computed once per path and kept on it.  Its callers check p.
     """
-    _check_exponent(p)
     key = (level, p)
     value = path._sums.get(key)
     if value is None:
@@ -131,6 +130,7 @@ def _level_sum(path: SamplePath, level: int, p: float) -> float:
 
 def p_variation_sum(path: SamplePath, p: float) -> VariationRecord:
     """Sum of |increment|^p over consecutive grid points."""
+    _check_exponent(p)
     level_or_n = _finest(path)
     return VariationRecord(level_or_n=level_or_n, p=p, value=_level_sum(path, level_or_n, p))
 
@@ -160,6 +160,7 @@ def variation_sequence(
     Coarsening subsamples every 2^(N-n)-th point of the level-N path, so
     the records live on the nested dyadic partitions of a single path.
     """
+    _check_exponent(p)
     levels = _check_levels(levels, path.dyadic_level)
     return [VariationRecord(level, p, _level_sum(path, level, p)) for level in levels]
 
@@ -172,7 +173,8 @@ def hoelder_dominance_bound(
     Their product bounds the q-variation sum at the same resolution, with
     equality when all increments share one magnitude.
     """
-    _check_exponent(q)
+    _check_exponent(p)
+    _check_exponent(q, "q")
     if not q > p:
         raise ParameterError(f"need q > p > 0, got p={p}, q={q}")
     p_value = _level_sum(path, _finest(path), p)

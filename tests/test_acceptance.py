@@ -33,7 +33,6 @@ from greyvar.sampling import (
 from greyvar.serialize import dump_report
 from greyvar.special import mwright_moment, theoretical_variation_limit
 from greyvar.validation import (
-    CfCheckSpec,
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,
@@ -374,9 +373,7 @@ def _validation_suite():
     stream = 90_000
     for alpha, beta in ((1.0, 1.0), (1.2, 0.6)):
         params = GreyParams(alpha, beta)
-        cf = check_increment_cf(
-            params, CfCheckSpec((0.5, 1.0, 2.0), 0.5, 1.0, 100_000), BASE.stream(stream)
-        )
+        cf = check_increment_cf(params, (0.5, 1.0, 2.0), 0.5, 1.0, 100_000, BASE.stream(stream))
         stream += 100_000
         mom = check_even_moments(params, 1.0, [2, 4], 100_000, BASE.stream(stream))
         stream += 100_000
@@ -389,11 +386,11 @@ def _validation_suite():
                 "alpha": alpha,
                 "beta": beta,
                 "cf_passed": bool(cf.passed),
-                "cf_max_z": max(max(abs(r.z_re), abs(r.z_im)) for r in cf.rows),
+                "cf_max_z": max(max(abs(r["z_re"]), abs(r["z_im"])) for r in cf.rows),
                 "moments_passed": bool(mom.passed),
-                "moments_max_z": max(abs(r.z) for r in mom.rows),
+                "moments_max_z": max(abs(r["z"]) for r in mom.rows),
                 "mixing_passed": bool(mix.passed),
-                "mixing_z_at_max_lag": mix.rows[-1].z,
+                "mixing_z_at_max_lag": mix.rows[-1]["z"],
             }
         )
     return {

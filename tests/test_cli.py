@@ -55,7 +55,7 @@ from greyvar.serialize import (
     save_bundle,
     table_csv,
 )
-from greyvar.validation import CfCheckSpec, check_even_moments, check_increment_cf, check_mixing_decay
+from greyvar.validation import check_even_moments, check_increment_cf, check_mixing_decay
 from greyvar.variation import variation_sequence
 
 from conftest import traced_peak
@@ -646,7 +646,7 @@ class TestPresets:
         "prop7-trichotomy": "433b7e26ab33536b469b7846cfb36a0ebff3fa558825ef6f26e4791dc80dad90",
         "thm10-grid": "4bb845f546c6a84353e6eada452bf8d6042310f72148d19e9ee15fd957cf937c",
         "fbm-singularity": "36f2dfb09b17145822ec2a1db667006451aff29c0f0b25aeab14b06dab0a01ab",
-        "validate-all": "d1ca855c05a15bd3d8a443688d991cfd38100b74f7c6ae3e4e845253f2473368",
+        "validate-all": "933c2ba9ae12a5a40feec58b35dbecc87275789336c75ef77f0129b42996846b",
     }
 
     def test_digests_cover_every_preset(self):
@@ -977,6 +977,7 @@ class TestValidateChecksSettingsFirst:
             ("thetas", [float("nan")], ParameterError, "thetas"),
             ("thetas", [1e300], ParameterError, "thetas"),
             ("param_sets", [[1.0, 1.0], [3.0, 0.5]], ParameterError, "alpha"),
+            ("lags", 5, InputError, "lags must be a sequence"),
         ],
     )
     def test_no_path_drawn_before_error(self, key, value, error, match, monkeypatch):
@@ -993,8 +994,8 @@ class TestValidateChecksSettingsFirst:
             "moment_orders": lambda v: check_even_moments(params, 1.0, v, 10_000, rng),
             "moment_t": lambda v: check_even_moments(params, v, [2], 10_000, rng),
             "lags": lambda v: check_mixing_decay(params, v, 10_000, rng),
-            "s": lambda v: check_increment_cf(params, CfCheckSpec([1.0], v, 1.0, 10_000), rng),
-            "thetas": lambda v: check_increment_cf(params, CfCheckSpec(v, 0.5, 1.0, 10_000), rng),
+            "s": lambda v: check_increment_cf(params, [1.0], v, 1.0, 10_000, rng),
+            "thetas": lambda v: check_increment_cf(params, v, 0.5, 1.0, 10_000, rng),
             "param_sets": lambda v: run_config("validate", {"param_sets": v, "n_paths": 10_000, "master_seed": 1}),
         }
         with pytest.raises(error, match=match):

@@ -5,6 +5,7 @@ from greyvar.errors import (
     EstimationError,
     InputError,
     NoSolutionError,
+    ParameterError,
     PreconditionError,
 )
 from greyvar.inference import (
@@ -189,6 +190,23 @@ class TestEstimateBeta:
             ]
             est = estimate_beta_pooled(paths, alpha, region_for(params))
             assert abs(est.beta_hat - beta) <= tol
+
+    @pytest.mark.parametrize("region", ["low", "high", "bogus", None, 0])
+    def test_region_must_be_a_beta_region(self, region):
+        path = sample_ggbm(GreyParams(1.0, 0.5), DyadicGrid(10), RngSpec(MASTER_SEED, 0).stream(2500))
+        with pytest.raises(ParameterError, match="^region must be a BetaRegion"):
+            estimate_beta(path, 1.0, region)
+        with pytest.raises(ParameterError, match="^region must be a BetaRegion"):
+            estimate_beta_pooled([path], 1.0, region)
+
+    @pytest.mark.parametrize("alpha", [True, np.True_, "a", None, 1j], ids=repr)
+    def test_non_real_alpha_is_named(self, alpha):
+        path = linear_path(10)
+        with pytest.raises(ParameterError, match="^alpha must be a real number"):
+            estimate_beta(path, alpha)
+        with pytest.raises(ParameterError, match="^alpha must be a real number"):
+            estimate_beta_pooled([path], alpha)
+        assert path._sums == {}
 
 
 class TestDiscriminate:

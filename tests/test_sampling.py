@@ -218,6 +218,11 @@ class TestStableSampler:
         with pytest.raises(ParameterError, match="beta must lie in"):
             sample_mwright(beta, rng)
 
+    @pytest.mark.parametrize("beta", ["a", None, True], ids=repr)
+    def test_non_real_beta_is_named(self, beta, rng):
+        with pytest.raises(ParameterError, match="^beta must be a real number"):
+            sample_mwright(beta, rng, 2)
+
 
 class TestMWrightSampler:
     def test_beta_one_is_unit(self, rng):

@@ -13,6 +13,7 @@ from greyvar.errors import (
 )
 from greyvar.params import GreyParams
 from greyvar.special import (
+    gamma,
     ggbm_abs_moment,
     mittag_leffler,
     mwright_moment,
@@ -75,6 +76,14 @@ class TestMittagLeffler:
         values = [mittag_leffler(beta, float(s)) for s in np.linspace(0.0, 30.0, 200)]
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b <= a + 1e-13 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize(
+        ("beta", "s", "match"),
+        [(0.5, True, "^s "), (0.5, None, "^s "), (0.5, "1", "^s "), ("a", 1.0, "^beta "), (True, 1.0, "^beta ")],
+    )
+    def test_non_real_argument_is_named(self, beta, s, match):
+        with pytest.raises(ParameterError, match=match + "must be a real number"):
+            mittag_leffler(beta, s)
 
     def test_parameter_errors(self):
         with pytest.raises(ParameterError):
@@ -192,6 +201,11 @@ class TestMWrightPdf:
     def test_normalization(self, beta):
         total = gl_quad(lambda t: mwright_pdf(beta, t), 0.0, mwright_cutoff(beta))
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("beta", [None, "0.5", True], ids=repr)
+    def test_non_real_beta_is_named(self, beta):
+        with pytest.raises(ParameterError, match="^beta must be a real number"):
+            mwright_pdf(beta, 1.0)
 
     def test_degenerate_and_range_errors(self):
         with pytest.raises(DegenerateDistributionError):
@@ -428,6 +442,22 @@ class TestMoments:
     def test_normal_abs_moment_error(self):
         with pytest.raises(ParameterError):
             normal_abs_moment(-1.0)
+
+    @pytest.mark.parametrize(
+        ("call", "name"),
+        [
+            (lambda v: mwright_moment(v, 1.0), "beta"),
+            (lambda v: mwright_moment(0.5, v), "delta"),
+            (lambda v: normal_abs_moment(v), "q"),
+            (lambda v: ggbm_abs_moment(v, 2.0), "beta"),
+            (lambda v: ggbm_abs_moment(0.5, v), "p"),
+            (lambda v: gamma(v), "x"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, "1", None], ids=repr)
+    def test_non_real_argument_is_named(self, call, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be a real number"):
+            call(value)
 
     def test_ggbm_abs_moment(self):
         assert ggbm_abs_moment(1.0, 2.0) == pytest.approx(1.0, rel=1e-14)

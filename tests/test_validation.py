@@ -6,10 +6,9 @@ import pytest
 from greyvar import validation
 from greyvar.errors import InputError, ParameterError
 from greyvar.params import GreyParams
-from greyvar.sampling import DyadicGrid, sample_ggbm_batch
+from greyvar.sampling import DyadicGrid, _block_paths, sample_ggbm_batch
 from greyvar.special import mittag_leffler
 from greyvar.validation import (
-    CfCheckSpec,
     CheckReport,
     check_even_moments,
     check_increment_cf,
@@ -23,16 +22,19 @@ from conftest import traced_peak
 
 
 class TestCfCheckSpec:
-    def test_invariants(self):
-        with pytest.raises(ParameterError):
-            CfCheckSpec((1.0,), 0.5, 0.5, 20000)
-        with pytest.raises(ParameterError):
-            CfCheckSpec((1.0,), 0.0, 1.0, 500)
+    """check_increment_cf checks its settings before it draws a path."""
 
-    def test_non_dyadic_time_rejected(self, rng):
-        spec = CfCheckSpec((1.0,), 0.3, 1.0, 20000)
+    def test_invariants(self, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
+        with pytest.raises(ParameterError):
+            check_increment_cf(GreyParams(1.0, 1.0), (1.0,), 0.5, 0.5, 20000, rng)
+        with pytest.raises(ParameterError):
+            check_increment_cf(GreyParams(1.0, 1.0), (1.0,), 0.0, 1.0, 500, rng)
+
+    def test_non_dyadic_time_rejected(self, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
         with pytest.raises(InputError):
-            check_increment_cf(GreyParams(1.0, 1.0), spec, rng)
+            check_increment_cf(GreyParams(1.0, 1.0), (1.0,), 0.3, 1.0, 20000, rng)
 
     @pytest.mark.parametrize(
         ("thetas", "s", "t", "match"),
@@ -49,62 +51,60 @@ class TestCfCheckSpec:
             ((1.0,), 0.0, 1j, "^t must be a real number"),
         ],
     )
-    def test_non_real_field_is_named(self, thetas, s, t, match):
+    def test_non_real_field_is_named(self, thetas, s, t, match, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
         with pytest.raises(ParameterError, match=match):
-            CfCheckSpec(thetas, s, t, 10_000)
+            check_increment_cf(GreyParams(1.0, 1.0), thetas, s, t, 10_000, rng)
 
-    def test_times_are_stored_as_given(self):
-        spec = CfCheckSpec(np.array([1, 2]), np.float64(0.5), 1, 10_000)
-        assert spec.thetas == (1.0, 2.0) and all(type(x) is float for x in spec.thetas)
-        assert type(spec.s) is np.float64 and type(spec.t) is int
+    def test_times_are_stored_as_given(self, rng):
+        report = check_increment_cf(GreyParams(1.0, 1.0), np.array([1, 2]), np.float64(0.5), 1, 10_000, rng)
+        thetas = [r["theta"] for r in report.rows]
+        assert thetas == [1.0, 2.0] and all(type(x) is float for x in thetas)
+        assert type(report.settings["s"]) is np.float64 and type(report.settings["t"]) is int
 
 
 class TestIncrementCf:
     def test_brownian_full_increment(self, rng):
-        spec = CfCheckSpec((0.0, 1.0), 0.0, 1.0, 20000)
-        report = check_increment_cf(GreyParams(1.0, 1.0), spec, rng)
+        report = check_increment_cf(GreyParams(1.0, 1.0), (0.0, 1.0), 0.0, 1.0, 20000, rng)
         assert report.passed
-        by_theta = {r.theta: r for r in report.rows}
-        assert by_theta[0.0].empirical_re == 1.0
-        assert by_theta[0.0].theoretical == 1.0
-        assert by_theta[1.0].theoretical == pytest.approx(math.exp(-0.5), rel=1e-12)
+        by_theta = {r["theta"]: r for r in report.rows}
+        assert by_theta[0.0]["empirical_re"] == 1.0
+        assert by_theta[0.0]["theoretical"] == 1.0
+        assert by_theta[1.0]["theoretical"] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_grey_increment_against_mittag_leffler(self, rng):
-        spec = CfCheckSpec((1.0, 2.0), 0.5, 1.0, 30000)
         params = GreyParams(1.2, 0.7)
-        report = check_increment_cf(params, spec, rng.stream(10))
+        report = check_increment_cf(params, (1.0, 2.0), 0.5, 1.0, 30000, rng.stream(10))
         assert report.passed
         row = report.rows[0]
-        assert row.theoretical == pytest.approx(
+        assert row["theoretical"] == pytest.approx(
             mittag_leffler(0.7, 0.5 * 0.5 ** 1.2), rel=1e-12
         )
-        assert abs(row.z_im) <= 4.0
+        assert abs(row["z_im"]) <= 4.0
 
     def test_imaginary_part_vanishes(self, rng):
-        spec = CfCheckSpec((0.7,), 0.25, 0.75, 20000)
-        report = check_increment_cf(GreyParams(1.0, 0.6), spec, rng.stream(20))
-        assert abs(report.rows[0].z_im) <= 4.0
+        report = check_increment_cf(GreyParams(1.0, 0.6), (0.7,), 0.25, 0.75, 20000, rng.stream(20))
+        assert abs(report.rows[0]["z_im"]) <= 4.0
 
     def test_cosine_estimator_is_even_in_theta(self, rng):
-        spec = CfCheckSpec((1.3, -1.3), 0.0, 0.5, 20000)
-        report = check_increment_cf(GreyParams(1.2, 0.7), spec, rng.stream(30))
-        assert report.rows[0].empirical_re == report.rows[1].empirical_re
+        report = check_increment_cf(GreyParams(1.2, 0.7), (1.3, -1.3), 0.0, 0.5, 20000, rng.stream(30))
+        assert report.rows[0]["empirical_re"] == report.rows[1]["empirical_re"]
 
 
 class TestEvenMoments:
     def test_brownian_second_moment(self, rng):
         report = check_even_moments(GreyParams(1.0, 1.0), 1.0, [2], 30000, rng)
         assert report.passed
-        second = [r for r in report.rows if r.order == 2][0]
-        assert second.theoretical == 1.0
-        first = [r for r in report.rows if r.order == 1][0]
-        assert first.theoretical == 0.0 and abs(first.z) <= 4.0
+        second = [r for r in report.rows if r["order"] == 2][0]
+        assert second["theoretical"] == 1.0
+        first = [r for r in report.rows if r["order"] == 1][0]
+        assert first["theoretical"] == 0.0 and abs(first["z"]) <= 4.0
 
     def test_grey_second_moment_value(self, rng):
         report = check_even_moments(GreyParams(1.2, 0.5), 1.0, [2, 4], 30000, rng.stream(40))
         assert report.passed
-        second = [r for r in report.rows if r.order == 2][0]
-        assert second.theoretical == pytest.approx(1.1283791670955126, rel=1e-12)
+        second = [r for r in report.rows if r["order"] == 2][0]
+        assert second["theoretical"] == pytest.approx(1.1283791670955126, rel=1e-12)
 
     def test_formula_matches_cf_curvature(self):
         # -d^2/dtheta^2 of the increment characteristic function at zero
@@ -143,7 +143,7 @@ class TestEvenMoments:
 
     def test_numpy_integer_orders_and_time(self, rng):
         report = check_even_moments(GreyParams(1.0, 1.0), np.float64(0.5), np.array([2]), 10_000, rng)
-        assert [r.order for r in report.rows] == [1, 2] and report.to_dict()["t"] == 0.5
+        assert [r["order"] for r in report.rows] == [1, 2] and report.to_dict()["t"] == 0.5
 
 
 class TestMixingDecay:
@@ -151,15 +151,15 @@ class TestMixingDecay:
         report = check_mixing_decay(GreyParams(1.0, 1.0), [1, 2, 8, 64], 30000, rng)
         assert report.passed
         for row in report.rows:
-            if row.lag >= 2:
-                assert abs(row.z) <= 4.0
-        assert report.rows[0].covariance > 0.1  # lag-1 variance baseline
+            if row["lag"] >= 2:
+                assert abs(row["z"]) <= 4.0
+        assert report.rows[0]["covariance"] > 0.1  # lag-1 variance baseline
 
     def test_persistent_fbm_correlation_decays(self, rng):
         report = check_mixing_decay(GreyParams(1.4, 1.0), [2, 4, 16, 64], 40000, rng.stream(50))
-        rows = {r.lag: r for r in report.rows}
-        assert rows[2].covariance > 0.0 and rows[2].z > 4.0
-        assert rows[2].covariance > rows[16].covariance
+        rows = {r["lag"]: r for r in report.rows}
+        assert rows[2]["covariance"] > 0.0 and rows[2]["z"] > 4.0
+        assert rows[2]["covariance"] > rows[16]["covariance"]
 
     def test_grey_paths_decay_at_long_lag(self, rng):
         report = check_mixing_decay(GreyParams(1.2, 0.6), [1, 2, 64], 30000, rng.stream(60))
@@ -193,7 +193,7 @@ class TestCheckReport:
     def test_one_report_type_for_every_check(self, rng):
         params = GreyParams(1.0, 1.0)
         reports = [
-            check_increment_cf(params, CfCheckSpec((1.0,), 0.5, 1.0, 10_000), rng),
+            check_increment_cf(params, (1.0,), 0.5, 1.0, 10_000, rng),
             check_even_moments(params, 0.5, [2], 10_000, rng.stream(1)),
             check_mixing_decay(params, [1, 4], 10_000, rng.stream(2)),
         ]
@@ -207,18 +207,18 @@ class TestCheckReport:
             out = report.to_dict()
             assert set(out) == expected
             assert out["passed"] is report.passed
-            assert out["rows"] == [vars(r) for r in report.rows]
+            assert out["rows"] == list(report.rows) and all(type(r) is dict for r in report.rows)
         assert [r.to_dict()["check"] for r in reports] == ["increment-cf", "moments", "mixing-decay"]
         assert reports[0].to_dict()["level"] == 1 and reports[1].to_dict()["t"] == 0.5
 
     def test_mixing_verdict_reads_the_largest_lag_only(self, rng):
         report = check_mixing_decay(GreyParams(1.0, 1.0), [1, 64], 10_000, rng)
-        assert abs(report.rows[0].z) > 4.0 and report.passed
+        assert abs(report.rows[0]["z"]) > 4.0 and report.passed
 
     def test_means_stream_chunks_in_substream_order(self, rng, monkeypatch):
-        # Three chunks of 4,000, 4,000 and 2,000 paths: each row is the sum of
-        # its per-chunk sums, path d drawn from substream d.
-        monkeypatch.setattr(validation, "_CHUNK", 4000)
+        # Three blocks of 4,000, 4,000 and 2,000 paths: each row is the sum of
+        # its per-block sums, path d drawn from substream d.
+        monkeypatch.setattr(validation, "_block_paths", lambda m: 4000)
         params, n = GreyParams(1.2, 0.6), 10_000
         report = check_even_moments(params, 1.0, [2], n, rng)
         x = np.concatenate(
@@ -226,58 +226,62 @@ class TestCheckReport:
              for d in range(0, n, 4000)]
         )
         for row in report.rows:
-            chunks = [x[d:d + 4000] ** row.order for d in range(0, n, 4000)]
+            chunks = [x[d:d + 4000] ** row["order"] for d in range(0, n, 4000)]
             mean = sum(c.sum() for c in chunks) / n
             sq = sum((c * c).sum() for c in chunks) / n
-            assert row.empirical == float(mean)
-            assert row.se == math.sqrt(max(sq - mean ** 2, 0.0) / n)
+            assert row["empirical"] == float(mean)
+            assert row["se"] == math.sqrt(max(sq - mean ** 2, 0.0) / n)
 
     @pytest.mark.parametrize(
-        ("level", "n_paths", "chunks"),
-        [
-            (6, 20_000, [20_000]),  # validate-all's largest grid: one chunk
-            (6, 40_000, [25_000, 15_000]),
-            (7, 40_000, [16_384, 16_384, 7_232]),
-            (12, 25_001, [512] * 48 + [425]),
-            (22, 3, [1, 1, 1]),
-        ],
+        ("level", "n_paths"),
+        [(6, 20_000), (6, 40_000), (7, 40_000), (12, 25_001), (22, 3)],
     )
-    def test_means_chunks_hold_at_most_2_to_the_22_normals(self, level, n_paths, chunks, rng, monkeypatch):
+    def test_means_draw_whole_blocks_in_substream_order(self, level, n_paths, rng, monkeypatch):
         calls = _spy_sampler(monkeypatch)
         validation._means(GreyParams(1.2, 0.6), DyadicGrid(level), n_paths, rng, lambda b: b[-1:])
-        _assert_block_draws(calls, DyadicGrid(level), chunks, rng)
+        _assert_block_draws(calls, DyadicGrid(level), n_paths, rng)
 
-    def test_cf_check_on_a_level_12_gap_draws_small_chunks(self, rng, monkeypatch):
+    def test_cf_check_on_a_level_12_gap_draws_whole_blocks(self, rng, monkeypatch):
         calls = _spy_sampler(monkeypatch)
-        spec = CfCheckSpec((1.0,), 0.0, 2.0 ** -12, 25_000)
-        assert check_increment_cf(GreyParams(1.2, 0.6), spec, rng).rows[0].empirical_re == 1.0
-        _assert_block_draws(calls, DyadicGrid(12), [512] * 48 + [424], rng)
+        report = check_increment_cf(GreyParams(1.2, 0.6), (1.0,), 0.0, 2.0 ** -12, 25_000, rng)
+        assert report.rows[0]["empirical_re"] == 1.0
+        _assert_block_draws(calls, DyadicGrid(12), 25_000, rng)
+
+    def test_means_add_block_sums_in_order(self, rng):
+        # Level 6 at 1,008 paths a block: blocks of 1,008, 1,008 and 484 paths.
+        params, grid, n = GreyParams(1.2, 0.6), DyadicGrid(6), 2_500
+        stats = lambda b: np.array([b[-1], b[1] * b[-1]])
+        mean, se = validation._means(params, grid, n, rng, stats)
+        block = _block_paths(grid.n_increments)
+        sums = sq_sums = 0.0
+        for d in range(0, n, block):
+            rows = stats(sample_ggbm_batch(params, grid, rng.stream(d), min(block, n - d)))
+            sums = sums + rows.sum(axis=1)
+            sq_sums = sq_sums + (rows * rows).sum(axis=1)
+        assert block == 1008 and mean.tolist() == (sums / n).tolist()
+        assert se == [math.sqrt(max(sq / n - m ** 2, 0.0) / n) for sq, m in zip(sq_sums, sums / n)]
 
 
-def _assert_block_draws(calls, grid, chunks, rng):
-    """The spied draws on grid are at most one sampler block each, follow
-    substream order over [0, sum(chunks)), and break at every summation-chunk
-    boundary: each chunk is drawn in full blocks and one remainder."""
-    block = max(1, 2 ** 16 // (grid.n_increments + 1))
-    sizes = [n for _, _, n in calls]
-    assert max(sizes) <= block
-    assert sizes == [min(block, c - lo) for c in chunks for lo in range(0, c, block)]
-    starts = np.cumsum([0] + sizes[:-1]).tolist()
-    assert set(np.cumsum([0] + chunks[:-1]).tolist()) <= set(starts)
-    assert calls == [(grid, rng.stream(d), n) for d, n in zip(starts, sizes)]
+def _assert_block_draws(calls, grid, n_paths, rng):
+    """The spied draws on grid are _block_paths(m) paths each but a final
+    remainder, and follow substream order over [0, n_paths)."""
+    block = _block_paths(grid.n_increments)
+    assert block == max(1, 2 ** 16 // (grid.n_increments + 1))
+    starts = list(range(0, n_paths, block))
+    assert calls == [(grid, rng.stream(d), min(block, n_paths - d)) for d in starts]
 
 
-def _whole_chunk_means(params, grid, n_paths, rng, stats):
-    """validation._means with one sample_ggbm_batch call per summation chunk,
-    the whole chunk reduced by stats at once."""
-    chunk = min(validation._CHUNK, max(1, validation._CHUNK_NORMALS // (2 * grid.n_increments)))
-    sums = sq_sums = 0.0
-    for done in range(0, n_paths, chunk):
-        rows = stats(sample_ggbm_batch(params, grid, rng.stream(done), min(chunk, n_paths - done)))
-        sums = sums + rows.sum(axis=1)
-        sq_sums = sq_sums + (rows * rows).sum(axis=1)
-    mean = sums / n_paths
-    return mean, [math.sqrt(max(sq / n_paths - m ** 2, 0.0) / n_paths) for sq, m in zip(sq_sums, mean)]
+def _whole_batch_moments(params, grid, n_paths, rng, stats):
+    """Mean and mean square of each row of stats over n_paths paths, every
+    path's rows reduced at once: the paths are drawn in pieces of 1,000,
+    not a multiple of any case's sampler block, and their rows joined
+    before one sum per row."""
+    rows = np.concatenate(
+        [stats(sample_ggbm_batch(params, grid, rng.stream(d), min(1000, n_paths - d)))
+         for d in range(0, n_paths, 1000)],
+        axis=1,
+    )
+    return np.concatenate([rows.sum(axis=1), (rows * rows).sum(axis=1)]) / n_paths
 
 
 def _tanh_of_all_increments(params, grid, lags):
@@ -293,31 +297,39 @@ def _tanh_of_all_increments(params, grid, lags):
 
 
 class TestBlockReduction:
-    """Each sampler block is reduced to its rows as it is drawn; the reports
-    keep the bytes of one whole-chunk draw per summation chunk."""
+    """Each sampler block is reduced to its rows as it is drawn; the means
+    and mean squares behind each report equal, to 1e-13 relative, those of
+    one reduction over the whole batch.  (The standard errors themselves
+    need not: at a level-12 gap, cos(theta delta) is 1 - O(1e-5), and its
+    variance keeps about 6 of the mean square's digits.)"""
 
     CASES = {
-        "cf-L2": lambda p, r: check_increment_cf(p, CfCheckSpec((0.5, 1.0, 2.0), 0.25, 0.75, 20_000), r),
-        "cf-L12": lambda p, r: check_increment_cf(p, CfCheckSpec((1.0, 2.0), 0.5, 0.5 + 2.0 ** -12, 10_000), r),
-        "moments-L3": lambda p, r: check_even_moments(p, 0.375, [2, 4], 20_000, r),
-        "mixing-L3": lambda p, r: check_mixing_decay(p, [1, 3, 8], 20_000, r),
-        # Two summation chunks, 16,384 and 3,616 paths, at 508 paths a block.
-        "mixing-L7": lambda p, r: check_mixing_decay(p, [1, 2, 100, 128], 20_000, r),
+        "cf-L2": (check_increment_cf, ((0.5, 1.0, 2.0), 0.25, 0.75, 20_000)),
+        "cf-L12": (check_increment_cf, ((1.0, 2.0), 0.5, 0.5 + 2.0 ** -12, 10_000)),
+        "moments-L3": (check_even_moments, (0.375, [2, 4], 20_000)),
+        "mixing-L3": (check_mixing_decay, ([1, 3, 8], 20_000)),
+        # 39 sampler blocks of 508 paths and one of 188.
+        "mixing-L7": (check_mixing_decay, ([1, 2, 100, 128], 20_000)),
     }
 
     @pytest.mark.parametrize("beta", [1.0, 0.6])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reports_equal_whole_chunk_reference(self, case, beta, rng, monkeypatch):
-        params, check = GreyParams(1.2, beta), self.CASES[case]
-        report = check(params, rng.stream(70))
+        check, settings = self.CASES[case]
+        means, pairs = validation._means, []
 
-        def reference(params, grid, n_paths, rng, stats):
-            if case.startswith("mixing"):
-                stats = _tanh_of_all_increments(params, grid, sorted(r.lag for r in report.rows))
-            return _whole_chunk_means(params, grid, n_paths, rng, stats)
+        def both(params, grid, n_paths, rng, stats):
+            mean, se = means(params, grid, n_paths, rng, stats)
+            if check is check_mixing_decay:
+                stats = _tanh_of_all_increments(params, grid, settings[0])
+            square = np.array(se) ** 2 * n_paths + mean ** 2
+            pairs.append((np.concatenate([mean, square]), _whole_batch_moments(params, grid, n_paths, rng, stats)))
+            return mean, se
 
-        monkeypatch.setattr(validation, "_means", reference)
-        assert repr(report.to_dict()) == repr(check(params, rng.stream(70)).to_dict())
+        monkeypatch.setattr(validation, "_means", both)
+        check(GreyParams(1.2, beta), *settings, rng.stream(70))
+        [(got, want)] = pairs
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_warm_mixing_check_holds_one_block(self, rng):
         # Drawn and reduced one summation chunk at a time, this check peaked
@@ -327,9 +339,10 @@ class TestBlockReduction:
         assert traced_peak(lambda: check_mixing_decay(params, lags, 20_000, rng)) < 6 * 2 ** 20
 
 class TestChecksWithoutRows:
-    def test_cf_needs_a_frequency(self):
+    def test_cf_needs_a_frequency(self, rng, monkeypatch):
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
         with pytest.raises(ParameterError, match="thetas"):
-            CfCheckSpec((), 0.0, 1.0, 20000)
+            check_increment_cf(GreyParams(1.0, 1.0), (), 0.0, 1.0, 20000, rng)
 
     def test_moments_need_an_order(self, rng, monkeypatch):
         monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
@@ -355,12 +368,15 @@ class TestChecksWithoutRows:
         with pytest.raises(ParameterError, match="n_paths must be an integer"):
             check_mixing_decay(params, [1, 2], n_paths, rng)
         with pytest.raises(ParameterError, match="n_paths must be an integer"):
-            CfCheckSpec((1.0,), 0.0, 1.0, n_paths)
+            check_increment_cf(params, (1.0,), 0.0, 1.0, n_paths, rng)
 
-    def test_cf_spec_takes_numpy_integers(self):
-        assert CfCheckSpec((1.0,), 0.0, 1.0, np.int64(20000)) == CfCheckSpec((1.0,), 0.0, 1.0, 20000)
+    def test_cf_spec_takes_numpy_integers(self, rng, monkeypatch):
+        params = GreyParams(1.0, 1.0)
+        same = [check_increment_cf(params, (1.0,), 0.0, 1.0, n, rng).to_dict() for n in (np.int64(10_000), 10_000)]
+        assert same[0] == same[1]
+        monkeypatch.setattr(validation, "sample_ggbm_batch", _forbidden)
         with pytest.raises(ParameterError, match="1e4 paths"):
-            CfCheckSpec((1.0,), 0.0, 1.0, np.int64(9999))
+            check_increment_cf(params, (1.0,), 0.0, 1.0, np.int64(9999), rng)
 
 
 class TestGaussLegendre:
@@ -423,5 +439,5 @@ class TestLagsAreIntegers:
 
     def test_numpy_integer_lags_accepted(self, rng):
         report = check_mixing_decay(GreyParams(1.0, 1.0), np.array([1, 4]), 10_000, rng)
-        assert [r.lag for r in report.rows] == [1, 4]
-        assert all(type(r.lag) is int for r in report.rows)
+        assert [r["lag"] for r in report.rows] == [1, 4]
+        assert all(type(r["lag"]) is int for r in report.rows)

@@ -182,6 +182,27 @@ class TestExponentCheck:
         with pytest.raises(ParameterError):
             hoelder_dominance_bound(ggbm_path(DyadicGrid(6)), p, q)
 
+    @pytest.mark.parametrize("p", [True, np.True_, "a", None, 1j], ids=repr)
+    @pytest.mark.parametrize(
+        "call", ["p_variation_sum", "variation_sequence", "variation_trichotomy", "hoelder_dominance_bound"]
+    )
+    def test_non_real_p_is_named(self, call, p):
+        path = ggbm_path(DyadicGrid(6))
+        calls = {
+            "p_variation_sum": lambda: p_variation_sum(path, p),
+            "variation_sequence": lambda: variation_sequence(path, p, [2]),
+            "variation_trichotomy": lambda: variation_trichotomy(ALPHA, 0.7, p),
+            "hoelder_dominance_bound": lambda: hoelder_dominance_bound(path, p, 3.0),
+        }
+        with pytest.raises(ParameterError, match="^p must be a real number"):
+            calls[call]()
+        assert path._sums == {}
+
+    @pytest.mark.parametrize("q", [True, "a", None], ids=repr)
+    def test_non_real_q_is_named(self, q):
+        with pytest.raises(ParameterError, match="^q must be a real number"):
+            hoelder_dominance_bound(ggbm_path(DyadicGrid(6)), 1.0, q)
+
 
 class TestOverflow:
     def steep_path(self):
@@ -207,6 +228,13 @@ class TestOverflow:
         assert (0, 2000.0) not in path._sums
 
 
+@pytest.mark.parametrize("threshold", [True, "a", None], ids=repr)
+def test_non_real_threshold_is_named(threshold):
+    own, rival = Candidate(GreyParams(ALPHA, 0.7)), Candidate(GreyParams(ALPHA, 0.3))
+    with pytest.raises(ParameterError, match="^threshold must be a real number"):
+        discriminate(ggbm_path(DyadicGrid(10)), own, rival, threshold=threshold)
+
+
 def test_nan_threshold_rejected():
     own, rival = Candidate(GreyParams(ALPHA, 0.7)), Candidate(GreyParams(ALPHA, 0.3))
     for threshold in (math.nan, math.inf):
@@ -218,3 +246,9 @@ def test_nan_threshold_rejected():
 def test_non_integer_level_names_it(level):
     with pytest.raises(InputError, match=repr(level)):
         variation_sequence(ggbm_path(DyadicGrid(6)), 1.0, [level])
+
+
+@pytest.mark.parametrize("levels", [5, None])
+def test_non_iterable_levels_name_them(levels):
+    with pytest.raises(InputError, match="^levels must be a sequence"):
+        variation_sequence(ggbm_path(DyadicGrid(6)), 1.0, levels)
