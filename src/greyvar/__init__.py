@@ -47,7 +47,6 @@ from .sampling import (
     sample_mwright,
 )
 from .special import (
-    ggbm_abs_moment,
     mittag_leffler,
     mwright_moment,
     mwright_pdf,

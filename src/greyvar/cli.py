@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -340,7 +341,7 @@ def cmd_estimate(cfg: dict, threads: int = 1) -> dict:
 # ---------------------------------------------------------- discriminate
 
 
-@_reads("candidates", "level", "n_paths", "threshold", "record_decisions")
+@_reads("candidates", "level", "n_paths", "threshold")
 def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
     cand_list = _field(cfg, "candidates", [(float, float)])
     if len(cand_list) < 2:
@@ -349,51 +350,45 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
     level = _field(cfg, "level", int)
     n_paths = _n_paths(cfg, 100)
     threshold = _field(cfg, "threshold", float, required=False, default=0.5)
-    record_decisions = _field(cfg, "record_decisions", bool, required=False, default=False)
     _check_discrimination(level, threshold)
     base = _seed_spec(cfg)
 
     pairs = []
     skipped = []
-    for j in range(len(candidates)):
-        for k in range(j + 1, len(candidates)):
-            check = distinguishability_check(candidates[j], candidates[k])
-            if check:
-                pairs.append((j, k))
-            else:
-                skipped.append({"pair": [j, k], "reason": check.reason})
+    for j, k in itertools.combinations(range(len(candidates)), 2):
+        check = distinguishability_check(candidates[j], candidates[k])
+        if check:
+            pairs.append((j, k))
+        else:
+            skipped.append({"pair": [j, k], "reason": check.reason})
 
     # Path i of candidate c comes from substream c * n_paths + i. It is drawn
     # once, and every pair that holds c decides on it.
-    pairs_of = {c: [pair for pair in pairs if c in pair] for c in range(len(candidates))}
-    drawn = [c for c in pairs_of if pairs_of[c]]
+    drawn = sorted({c for pair in pairs for c in pair})
 
-    def one(n: int) -> tuple:
+    def one(n: int) -> dict:
         c, i = drawn[n // n_paths], n % n_paths
         path = sample_ggbm(candidates[c].params, DyadicGrid(level), base.stream(c * n_paths + i))
-        decisions = (discriminate(path, candidates[j], candidates[k], threshold) for j, k in pairs_of[c])
-        return tuple(d if record_decisions else d.label for d in decisions)
+        held = (pair for pair in pairs if c in pair)
+        return {(j, k): discriminate(path, candidates[j], candidates[k], threshold).label for j, k in held}
 
     rows = _pmap(one, range(len(drawn) * n_paths), threads)
-    rows_of = {c: rows[n * n_paths : (n + 1) * n_paths] for n, c in enumerate(drawn)}
 
     matrix = []
     for pair in pairs:
         for truth in pair:
-            slot = pairs_of[truth].index(pair)
-            outcomes = [row[slot] for row in rows_of[truth]]
-            labels = [d.label for d in outcomes] if record_decisions else outcomes
+            start = drawn.index(truth) * n_paths
+            labels = [row[pair] for row in rows[start : start + n_paths]]
             counts = {label.value: labels.count(label) for label in Label}
             correct = counts["first"] if truth == pair[0] else counts["second"]
-            entry = {
-                "pair": list(pair),
-                "truth": truth,
-                "counts": counts,
-                "accuracy": correct / n_paths,
-            }
-            if record_decisions:
-                entry["decisions"] = [d.to_dict() for d in outcomes]
-            matrix.append(entry)
+            matrix.append(
+                {
+                    "pair": list(pair),
+                    "truth": truth,
+                    "counts": counts,
+                    "accuracy": correct / n_paths,
+                }
+            )
 
     results = {
         "candidates": [{"alpha": c.params.alpha, "beta": c.params.beta, "mu": c.mu} for c in candidates],

@@ -34,7 +34,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .params import GreyParams, _real
+from .params import GreyParams, _real, _sequence
 from .sampling import SamplePath
 from .special import GAMMA_ARGMIN, GAMMA_MIN, gamma, normal_abs_moment, theoretical_variation_limit
 from .variation import _check_levels, p_variation_sum, variation_sequence
@@ -55,8 +55,8 @@ __all__ = [
     "discriminate",
 ]
 
-# Relative tolerance for treating two float parameters (or their Gamma
-# values) as equal.
+# Relative tolerance for treating two floats (parameters, critical means
+# or Gamma values) as equal.
 PARAM_REL_TOL = 1e-10
 
 
@@ -87,28 +87,22 @@ def _isclose(a: float, b: float) -> bool:
 def distinguishability_check(c1: Candidate, c2: Candidate) -> DistinguishabilityResult:
     """Whether the variation fingerprint separates the two candidates.
 
-    Different alpha always separates; equal alpha separates when the Gamma
-    values Gamma(beta/alpha + 1) differ.  Equal-Gamma pairs with different
-    beta are reported as not distinguishable by this method (no equivalence
-    claim is made).
+    Different alpha always separates; equal alpha separates when the
+    critical means mu differ, since the equal-alpha rule compares V with mu.
+    Equal-mu pairs with different beta are reported as not distinguishable
+    by this method (no equivalence claim is made).
     """
-    a1, b1 = c1.params.alpha, c1.params.beta
-    a2, b2 = c2.params.alpha, c2.params.beta
-    if not _isclose(a1, a2):
+    if not _isclose(c1.params.alpha, c2.params.alpha):
         return DistinguishabilityResult(True, "alpha differs")
-    if _isclose(b1, b2):
+    if _isclose(c1.params.beta, c2.params.beta):
         return DistinguishabilityResult(False, "identical parameters")
-    x1 = b1 / a1 + 1.0
-    x2 = b2 / a2 + 1.0
-    g1 = gamma(x1)
-    g2 = gamma(x2)
-    if _isclose(g1, g2):
+    if _isclose(c1.mu, c2.mu):
         return DistinguishabilityResult(
             False,
-            f"equal alpha and Gamma({x1:.6g}) = Gamma({x2:.6g}); "
+            f"equal alpha and mu ({c1.mu:.6g} = {c2.mu:.6g}); "
             "not distinguishable by the variation fingerprint",
         )
-    return DistinguishabilityResult(True, f"equal alpha, Gamma values differ ({g1:.6g} vs {g2:.6g})")
+    return DistinguishabilityResult(True, f"equal alpha, mu values differ ({c1.mu:.6g} vs {c2.mu:.6g})")
 
 
 @dataclass(frozen=True)
@@ -122,9 +116,12 @@ class AlphaEstimate:
 
 
 def _check_level_range(level_range: Tuple[int, int], top: int) -> Tuple[int, int]:
-    """level_range, or the InputError estimate_alpha raises for it on a
-    level-top path."""
-    n_lo, n_hi = level_range
+    """level_range as a pair (low, high) of levels, or the InputError
+    estimate_alpha raises for it on a level-top path."""
+    pair = _sequence(level_range, "level_range", InputError)
+    if len(pair) != 2:
+        raise InputError(f"level_range must be a pair (low, high), got {level_range!r}")
+    n_lo, n_hi = _check_levels(pair, None)
     if n_hi > top:
         raise InputError(f"level range top {n_hi} exceeds path level {top}")
     if n_hi - n_lo < 3:

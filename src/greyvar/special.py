@@ -39,7 +39,6 @@ __all__ = [
     "mwright_pdf",
     "mwright_moment",
     "normal_abs_moment",
-    "ggbm_abs_moment",
     "theoretical_variation_limit",
 ]
 
@@ -258,18 +257,11 @@ def normal_abs_moment(q: float) -> float:
 
 
 @_finite
-def ggbm_abs_moment(beta: float, p: float) -> float:
-    """E|B(1)|^p for the grey Brownian family.
-
-    The path factorizes into an independent scale sqrt(Y) and a standard
-    Gaussian marginal at t = 1, so the moment splits into
-    Gamma(p/2+1)/Gamma(beta*p/2+1) times E|Z|^p.  Independent of alpha.
-    """
-    if not (_real(p, "p") > 0.0):
-        raise ParameterError(f"p must be positive, got {p}")
-    return math.exp(_log_mwright_moment(beta, 0.5 * p) + _log_normal_abs_moment(p))
-
-
 def theoretical_variation_limit(params: GreyParams) -> float:
-    """Mean critical dyadic variation E|B(1)|^(2/alpha) of the (alpha, beta) family."""
-    return ggbm_abs_moment(params.beta, 2.0 / params.alpha)
+    """Mean critical dyadic variation mu = E|B(1)|^p, p = 2/alpha, of the (alpha, beta)
+    family: the independent scale sqrt(Y) of B(1) splits it into
+    Gamma(p/2+1)/Gamma(beta*p/2+1) times E|Z|^p."""
+    if not isinstance(params, GreyParams):
+        raise ParameterError(f"params must be a GreyParams, got {params!r}")
+    p = 2.0 / params.alpha
+    return math.exp(_log_mwright_moment(params.beta, 0.5 * p) + _log_normal_abs_moment(p))

@@ -80,6 +80,9 @@ def _means(
     The paths are drawn one sampler block at a time, path d from substream
     rng.stream(d), and each block's row sums and sums of squares are added
     to the running totals as soon as it is drawn, so a check holds one block.
+    The squares are of rows - shift, where shift is the first block's row
+    mean, so a row whose variance is small against its mean square keeps
+    the digits of its standard error.
     """
     n_paths = _path_count(n_paths, 1, "a check needs at least one path, got {}")
     block = _block_paths(grid.n_increments)
@@ -87,11 +90,16 @@ def _means(
     for d in range(0, n_paths, block):
         rows = stats(sample_ggbm_batch(params, grid, rng.stream(d), min(block, n_paths - d)))
         sums = sums + rows.sum(axis=1)
+        if d == 0:
+            shift = rows.mean(axis=1)
+        rows -= shift[:, None]
         rows *= rows
         sq_sums = sq_sums + rows.sum(axis=1)
     mean = sums / n_paths
-    # Per scalar: numpy squares an array by x * x but a scalar by pow().
-    se = [math.sqrt(max(sq / n_paths - m ** 2, 0.0) / n_paths) for sq, m in zip(sq_sums, mean)]
+    se = [
+        math.sqrt(max(sq / n_paths - (m - c) ** 2, 0.0) / n_paths)
+        for sq, m, c in zip(sq_sums, mean, shift)
+    ]
     return mean, se
 
 

@@ -50,14 +50,14 @@ def _check_exponent(p: float, name: str = "p") -> None:
         raise ParameterError(f"{name} must be finite and positive, got {p}")
 
 
-def _check_levels(levels: Iterable[int], top: int) -> List[int]:
+def _check_levels(levels: Iterable[int], top: Optional[int]) -> List[int]:
     """levels as a list, or the InputError variation_sequence raises for
-    them on a level-top path."""
+    them on a level-top path; top None checks only that they are integers."""
     levels = _sequence(levels, "levels", InputError)
     for level in levels:
         if isinstance(level, bool) or not isinstance(level, numbers.Integral):
             raise InputError(f"level {level!r} is not an integer")
-        if not (0 <= level <= top):
+        if top is not None and not (0 <= level <= top):
             raise InputError(f"level {level} outside [0, {top}]")
     return levels
 
@@ -140,7 +140,7 @@ def variation_trichotomy(alpha: float, beta: float, p: float) -> TrichotomyLabel
 
     Vanishes for p*alpha/2 > 1, diverges for p*alpha/2 < 1, and at the
     critical exponent p = 2/alpha has a finite positive limit whose mean
-    is theoretical_variation_limit(alpha, beta).
+    is theoretical_variation_limit(GreyParams(alpha, beta)).
     """
     params = GreyParams(alpha, beta)
     _check_exponent(p)

@@ -418,7 +418,10 @@ class TestDiscriminateCommand:
             counts = entry["counts"]
             assert counts["first"] + counts["second"] + counts["inconclusive"] == 10
 
-    def test_decision_records_on_request(self):
+    def test_decision_records_on_request(self, tmp_path, monkeypatch, capsys):
+        # Per-path records are not part of results: discriminate(...).to_dict()
+        # gives them, and the retired field is an unknown one before any path.
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
         cfg = {
             "candidates": [[1.0, 1.0], [1.6, 1.0]],
             "level": 10,
@@ -426,10 +429,10 @@ class TestDiscriminateCommand:
             "record_decisions": True,
             "master_seed": 13,
         }
-        res = cmd_discriminate(cfg)
-        decisions = res["matrix"][0]["decisions"]
-        assert len(decisions) == 3
-        assert {"label", "v1", "v2", "mu1", "mu2", "d1", "d2", "threshold"} <= set(decisions[0])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["discriminate", "--config", str(path)]) == EXIT_USAGE
+        assert "unknown config field(s) for discriminate: 'record_decisions'" in capsys.readouterr().err
 
     def test_indistinguishable_pairs_skipped(self):
         cfg = {
@@ -646,7 +649,7 @@ class TestPresets:
         "prop7-trichotomy": "433b7e26ab33536b469b7846cfb36a0ebff3fa558825ef6f26e4791dc80dad90",
         "thm10-grid": "4bb845f546c6a84353e6eada452bf8d6042310f72148d19e9ee15fd957cf937c",
         "fbm-singularity": "36f2dfb09b17145822ec2a1db667006451aff29c0f0b25aeab14b06dab0a01ab",
-        "validate-all": "933c2ba9ae12a5a40feec58b35dbecc87275789336c75ef77f0129b42996846b",
+        "validate-all": "5c2f6440fbe29b96015a22d12d7f0695a3587c2df06932d0b37d204ae8d23acc",
     }
 
     def test_digests_cover_every_preset(self):
@@ -785,7 +788,6 @@ class TestMalformedConfig:
             pytest.param("discriminate", "candidates", [[1.0, 1.0], [1.6, "x"]], id="candidates-string"),
             pytest.param("validate", "param_sets", [[1.0]], id="param_sets-short"),
             pytest.param("validate", "lags", ["a"], id="lags-string"),
-            pytest.param("discriminate", "record_decisions", "no", id="record_decisions-string"),
             pytest.param("sample", "out", 5, id="out-int"),
             pytest.param("variation", "format", "xml", id="format-xml"),
             pytest.param("variation", "alpha", "1.2", id="alpha-string"),
@@ -1062,14 +1064,13 @@ class TestCommandsCheckSettingsFirst:
 _FOUR = [[1.0, 0.3], [1.0, 0.9], [1.4, 0.7], [1.0, 0.3]]
 
 
-def _discriminate_cfg(candidates, n_paths=3, **extra) -> dict:
+def _discriminate_cfg(candidates, n_paths=3) -> dict:
     return {
         "candidates": candidates,
         "level": 8,
         "n_paths": n_paths,
         "threshold": 0.5,
         "master_seed": 19,
-        **extra,
     }
 
 
@@ -1080,7 +1081,8 @@ class TestCandidateMajorDiscrimination:
     @staticmethod
     def _reference(cfg, offset):
         """The matrix from a loop over `discriminate`, in (pair, truth) order,
-        where entry e reads its truth's paths from substreams offset(e, truth) + i."""
+        where entry e reads its truth's paths from substreams offset(e, truth) + i:
+        each entry's counts and accuracy."""
         cands = [Candidate(GreyParams(a, b)) for a, b in cfg["candidates"]]
         base = RngSpec(cfg["master_seed"])
         n = cfg["n_paths"]
@@ -1108,20 +1110,19 @@ class TestCandidateMajorDiscrimination:
                             "truth": truth,
                             "counts": counts,
                             "accuracy": counts["first" if truth == j else "second"] / n,
-                            "decisions": [d.to_dict() for d in decisions],
                         }
                     )
         return matrix
 
     def test_four_candidates_equal_a_loop_over_candidate_substreams(self):
-        cfg = _discriminate_cfg(_FOUR, record_decisions=True)
+        cfg = _discriminate_cfg(_FOUR)
         res = cmd_discriminate(cfg)
         assert res["matrix"] == self._reference(cfg, lambda entry, truth: truth * 3)
         assert [s["pair"] for s in res["skipped_pairs"]] == [[0, 3]]
 
     def test_two_candidates_keep_the_pair_major_layout(self):
         # Pair-major draws read substreams entry * n_paths + i for matrix entry e.
-        cfg = _discriminate_cfg([[1.0, 1.0], [1.6, 1.0]], n_paths=4, record_decisions=True)
+        cfg = _discriminate_cfg([[1.0, 1.0], [1.6, 1.0]], n_paths=4)
         assert cmd_discriminate(cfg)["matrix"] == self._reference(cfg, lambda entry, truth: entry * 4)
 
     @pytest.mark.parametrize(
@@ -1141,14 +1142,8 @@ class TestCandidateMajorDiscrimination:
         assert drawn == [(GreyParams(*candidates[c]), 3 * c + i) for c in drawn_candidates for i in range(3)]
 
     def test_threads_do_not_change_results(self):
-        cfg = _discriminate_cfg(_FOUR, record_decisions=True)
+        cfg = _discriminate_cfg(_FOUR)
         assert len({dump_report(cmd_discriminate(cfg, threads=t)) for t in (1, 2, 4)}) == 1
-
-    def test_record_decisions_only_adds_decisions(self):
-        recorded = cmd_discriminate(_discriminate_cfg(_FOUR, record_decisions=True))
-        for entry in recorded["matrix"]:
-            del entry["decisions"]
-        assert dump_report(recorded) == dump_report(cmd_discriminate(_discriminate_cfg(_FOUR)))
 
     def test_traced_peak_holds_labels_not_decisions(self):
         # Keeping a Decision per (path, pair) here peaks at about 5.8 MiB.

@@ -39,6 +39,11 @@ class TestCandidate:
         for alpha in [0.3, 1.0, 1.9]:
             assert Candidate(GreyParams(alpha, 0.5)).params.p_critical > 1.0
 
+    @pytest.mark.parametrize("params", [(1.0, 0.5), None], ids=repr)
+    def test_params_must_be_grey_params(self, params):
+        with pytest.raises(ParameterError, match="^params must be a GreyParams"):
+            Candidate(params)
+
 
 class TestDistinguishability:
     def test_different_alpha(self):
@@ -80,6 +85,19 @@ class TestDistinguishability:
         assert not r.distinguishable
         assert "not distinguishable" in r.reason
 
+    def test_equal_gamma_pair_reason_names_mu(self):
+        # Gamma(1.25) == Gamma(x) right of the minimum: at alpha = 0.8 the betas
+        # 0.2 and 0.8 (x - 1) give one critical mean mu.
+        import math
+
+        from scipy.optimize import brentq
+
+        x2 = brentq(lambda x: math.gamma(x) - math.gamma(1.25), 1.4616321449683623, 3.0)
+        c1, c2 = Candidate(GreyParams(0.8, 0.2)), Candidate(GreyParams(0.8, 0.8 * (x2 - 1.0)))
+        r = distinguishability_check(c1, c2)
+        assert not r.distinguishable
+        assert r.reason.startswith(f"equal alpha and mu ({c1.mu:.6g} = {c2.mu:.6g})")
+
 
 class TestEstimateAlpha:
     def test_linear_path_hits_boundary(self):
@@ -120,6 +138,24 @@ class TestEstimateAlpha:
         const = SamplePath(DyadicGrid(10), np.zeros(1025))
         with pytest.raises(EstimationError):
             estimate_alpha(const, 1.0, (6, 10))
+
+    @pytest.mark.parametrize(
+        ("level_range", "match"),
+        [
+            (5, "level_range must be a sequence"),
+            (None, "level_range must be a sequence"),
+            ((1, 2, 3), "level_range must be a pair"),
+            (("a", 9), "level 'a' is not an integer"),
+            ((5, "9"), "level '9' is not an integer"),
+            ((5, 9.5), "level 9.5 is not an integer"),
+            ((5, True), "level True is not an integer"),
+        ],
+        ids=repr,
+    )
+    def test_level_range_must_be_a_pair_of_levels(self, level_range, match):
+        path = linear_path(10)
+        with pytest.raises(InputError, match=f"^{match}"):
+            estimate_alpha(path, 1.0, level_range)
 
 
 class TestEstimateBeta:

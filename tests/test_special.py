@@ -14,7 +14,6 @@ from greyvar.errors import (
 from greyvar.params import GreyParams
 from greyvar.special import (
     gamma,
-    ggbm_abs_moment,
     mittag_leffler,
     mwright_moment,
     mwright_pdf,
@@ -449,8 +448,8 @@ class TestMoments:
             (lambda v: mwright_moment(v, 1.0), "beta"),
             (lambda v: mwright_moment(0.5, v), "delta"),
             (lambda v: normal_abs_moment(v), "q"),
-            (lambda v: ggbm_abs_moment(v, 2.0), "beta"),
-            (lambda v: ggbm_abs_moment(0.5, v), "p"),
+            (lambda v: theoretical_variation_limit(GreyParams(1.0, v)), "beta"),
+            (lambda v: theoretical_variation_limit(GreyParams(v, 0.5)), "alpha"),
             (lambda v: gamma(v), "x"),
         ],
     )
@@ -460,14 +459,20 @@ class TestMoments:
             call(value)
 
     def test_ggbm_abs_moment(self):
-        assert ggbm_abs_moment(1.0, 2.0) == pytest.approx(1.0, rel=1e-14)
-        assert ggbm_abs_moment(0.5, 2.0) == pytest.approx(1.1283791670955126, rel=1e-13)
+        # theoretical_variation_limit is the ggBm absolute moment E|B(1)|^p at p = 2/alpha.
+        assert theoretical_variation_limit(GreyParams(2.0 / 2.0, 1.0)) == pytest.approx(1.0, rel=1e-14)
+        assert theoretical_variation_limit(GreyParams(2.0 / 2.0, 0.5)) == pytest.approx(
+            1.1283791670955126, rel=1e-13
+        )
         for beta, p in [(0.3, 1.5), (0.8, 2.7)]:
-            assert ggbm_abs_moment(beta, p) == pytest.approx(
+            assert theoretical_variation_limit(GreyParams(2.0 / p, beta)) == pytest.approx(
                 mwright_moment(beta, p / 2.0) * normal_abs_moment(p), rel=1e-14
             )
-        with pytest.raises(ParameterError):
-            ggbm_abs_moment(0.5, 0.0)
+
+    @pytest.mark.parametrize("params", [(1.0, 0.5), None, 1.0], ids=repr)
+    def test_variation_limit_needs_grey_params(self, params):
+        with pytest.raises(ParameterError, match="^params must be a GreyParams"):
+            theoretical_variation_limit(params)
 
 
 class TestVariationLimit:

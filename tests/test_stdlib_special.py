@@ -20,13 +20,14 @@ from scipy.optimize import brentq
 from greyvar import inference
 from greyvar.cli import EXIT_NUMERICAL, main
 from greyvar.errors import NumericalError, ParameterError
+from greyvar.params import GreyParams
 from greyvar.special import (
     GAMMA_ARGMIN,
     gamma,
-    ggbm_abs_moment,
     mittag_leffler,
     mwright_moment,
     normal_abs_moment,
+    theoretical_variation_limit,
 )
 
 EPS = np.finfo(float).eps
@@ -111,7 +112,10 @@ class TestTypedErrors:
             (lambda: mwright_moment(0.5, 400), "mwright_moment(0.5, 400)"),
             (lambda: mwright_moment(beta=0.5, delta=400), "mwright_moment(beta=0.5, delta=400)"),
             (lambda: normal_abs_moment(500.0), "normal_abs_moment(500.0)"),
-            (lambda: ggbm_abs_moment(0.5, 700), "ggbm_abs_moment(0.5, 700)"),
+            (
+                lambda: theoretical_variation_limit(GreyParams(2.0 / 700, 0.5)),
+                f"theoretical_variation_limit({GreyParams(2.0 / 700, 0.5)!r})",
+            ),
         ],
     )
     def test_overflow_names_the_call(self, call, name):
@@ -121,7 +125,7 @@ class TestTypedErrors:
 
     def test_largest_finite_gamma_still_evaluates(self):
         assert gamma(171.0) == math.gamma(171.0)
-        assert math.isfinite(ggbm_abs_moment(0.5, 200.0))
+        assert math.isfinite(theoretical_variation_limit(GreyParams(2.0 / 200.0, 0.5)))
 
     @pytest.mark.parametrize(
         "call",
@@ -130,7 +134,7 @@ class TestTypedErrors:
             lambda: mwright_moment(0.5, math.nan),
             lambda: mwright_moment(math.nan, 1.0),
             lambda: normal_abs_moment(math.nan),
-            lambda: ggbm_abs_moment(0.5, math.nan),
+            lambda: theoretical_variation_limit(GreyParams(2.0 / math.nan, 0.5)),
         ],
     )
     def test_nan_is_parameter_error(self, call):
@@ -145,4 +149,4 @@ class TestTypedErrors:
                "master_seed": 1, "out": str(tmp_path / "v.json")}
         path.write_text(json.dumps(cfg))
         assert main(["variation", "--config", str(path)]) == EXIT_NUMERICAL
-        assert "ggbm_abs_moment(0.5, 500.0) overflows" in capsys.readouterr().err
+        assert "theoretical_variation_limit(GreyParams(alpha=0.004, beta=0.5)) overflows" in capsys.readouterr().err

@@ -228,9 +228,10 @@ class TestCheckReport:
         for row in report.rows:
             chunks = [x[d:d + 4000] ** row["order"] for d in range(0, n, 4000)]
             mean = sum(c.sum() for c in chunks) / n
-            sq = sum((c * c).sum() for c in chunks) / n
+            shift = chunks[0].mean()
+            sq = sum(((c - shift) * (c - shift)).sum() for c in chunks) / n
             assert row["empirical"] == float(mean)
-            assert row["se"] == math.sqrt(max(sq - mean ** 2, 0.0) / n)
+            assert row["se"] == math.sqrt(max(sq - (mean - shift) ** 2, 0.0) / n)
 
     @pytest.mark.parametrize(
         ("level", "n_paths"),
@@ -257,9 +258,21 @@ class TestCheckReport:
         for d in range(0, n, block):
             rows = stats(sample_ggbm_batch(params, grid, rng.stream(d), min(block, n - d)))
             sums = sums + rows.sum(axis=1)
-            sq_sums = sq_sums + (rows * rows).sum(axis=1)
+            if d == 0:
+                shift = rows.mean(axis=1)
+            centred = rows - shift[:, None]
+            sq_sums = sq_sums + (centred * centred).sum(axis=1)
         assert block == 1008 and mean.tolist() == (sums / n).tolist()
-        assert se == [math.sqrt(max(sq / n - m ** 2, 0.0) / n) for sq, m in zip(sq_sums, sums / n)]
+        assert se == [math.sqrt(max(sq / n - (m - c) ** 2, 0.0) / n) for sq, m, c in zip(sq_sums, sums / n, shift)]
+
+    def test_offset_rows_keep_their_standard_errors(self, rng):
+        # Adding 10^6 to a row leaves its standard error as it is.  Squares of
+        # rows without a shift cancel here: 10^12 - 10^12 keeps no digit of a
+        # variance of order 1.
+        params, grid, n = GreyParams(1.2, 0.6), DyadicGrid(1), 3_000
+        x = sample_ggbm_batch(params, grid, rng.stream(0), n)[-1]
+        _, [se] = validation._means(params, grid, n, rng, lambda b: b[-1:] + 1e6)
+        assert se == pytest.approx(x.std() / math.sqrt(n), rel=1e-9)
 
 
 def _assert_block_draws(calls, grid, n_paths, rng):
@@ -299,9 +312,9 @@ def _tanh_of_all_increments(params, grid, lags):
 class TestBlockReduction:
     """Each sampler block is reduced to its rows as it is drawn; the means
     and mean squares behind each report equal, to 1e-13 relative, those of
-    one reduction over the whole batch.  (The standard errors themselves
-    need not: at a level-12 gap, cos(theta delta) is 1 - O(1e-5), and its
-    variance keeps about 6 of the mean square's digits.)"""
+    one reduction over the whole batch.  (The reference's standard errors
+    are not compared: at a level-12 gap, cos(theta delta) is 1 - O(1e-5),
+    and a variance from its plain mean square keeps about 6 digits.)"""
 
     CASES = {
         "cf-L2": (check_increment_cf, ((0.5, 1.0, 2.0), 0.25, 0.75, 20_000)),
