@@ -10,6 +10,7 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -46,6 +47,7 @@ from .sampling import (
 from .serialize import atomic_write_bytes, dump_report, path_to_csv, save_bundle, table_csv
 from .special import theoretical_variation_limit
 from .validation import (
+    _cf_path_count,
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,
@@ -154,12 +156,26 @@ def _write(cfg: dict, results: dict, header: Sequence[str] = (), rows: Sequence 
     return results
 
 
-def _pmap(fn: Callable, items: Sequence, threads: int) -> List:
-    """Order-preserving map; results do not depend on scheduling."""
-    if threads <= 1:
+def _pmap(fn: Callable, items: Sequence, threads: int, executor: Optional[Callable] = None,
+          first: Sequence[int] = ()) -> List:
+    """Order-preserving map; results do not depend on scheduling.
+
+    With more than one worker the items run on a pool of `executor` (a
+    ThreadPoolExecutor by default) of min(threads, len(items), CPU count)
+    workers, the items at the indices in `first` started before the others.
+    An error is raised for the first failing item in order, as in a loop.
+    """
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    with (executor or ThreadPoolExecutor)(max_workers=workers) as pool:
+        futures = {i: pool.submit(fn, items[i]) for i in first}
+        futures.update((i, pool.submit(fn, x)) for i, x in enumerate(items) if i not in futures)
+        try:
+            return [futures[i].result() for i in range(len(items))]
+        finally:
+            for future in futures.values():
+                future.cancel()
 
 
 # Config fields every command takes; each command declares the rest with _reads.
@@ -413,25 +429,43 @@ _MOMENT_ORDERS = (2, 4)
 _LAGS = (1, 2, 4, 8, 16, 32, 64)
 
 
+def _forked_pool(max_workers: int):
+    """A pool of forked worker processes, which start at once and inherit the
+    parent's warm caches.  Its modules are imported here, on first use, so
+    that importing the CLI loads no multiprocessing module."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _report(check: Callable) -> dict:
+    """Run one check of the battery; its report as a dict."""
+    report = check()
+    return report if isinstance(report, dict) else report.to_dict()
+
+
 @_reads("param_sets", "n_paths")
 def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     if _output(cfg, "json")[1] == "csv":
         raise ConfigError("validate writes no table: config field 'format' must be 'json'")
     param_sets = [GreyParams(a, b) for a, b in _field(cfg, "param_sets", [(float, float)])]
-    n_paths = _n_paths(cfg, 20000)
+    n_paths = _cf_path_count(_n_paths(cfg, 20000))
     base = _seed_spec(cfg)
 
-    # Each check draws from its own stream offset.  The checks run in order on
-    # the calling thread whatever `threads` is: their per-path generator loop
-    # holds the GIL, so a second thread only adds handoffs.
-    checks = [special_identity_report()]
+    # Each check draws from its own stream offset, so the reports are those
+    # of any worker count.  The checks hold the GIL, so with threads > 1 they
+    # run in up to `threads` forked processes, the level-6 mixing checks, the
+    # costliest, first.  Where fork is unavailable they run in order here.
+    battery = [special_identity_report]
     for k, params in enumerate(param_sets):
-        stream = 1_000_000 + 3 * k * n_paths
-        checks += [
-            check_increment_cf(params, _THETAS, _S, _T, n_paths, base.stream(stream)).to_dict(),
-            check_even_moments(params, _T, _MOMENT_ORDERS, n_paths, base.stream(stream + n_paths)).to_dict(),
-            check_mixing_decay(params, _LAGS, n_paths, base.stream(stream + 2 * n_paths)).to_dict(),
+        cf, moments, mixing = (base.stream(1_000_000 + (3 * k + j) * n_paths) for j in range(3))
+        battery += [
+            functools.partial(check_increment_cf, params, _THETAS, _S, _T, n_paths, cf),
+            functools.partial(check_even_moments, params, _T, _MOMENT_ORDERS, n_paths, moments),
+            functools.partial(check_mixing_decay, params, _LAGS, n_paths, mixing),
         ]
+    checks = _pmap(_report, battery, threads if hasattr(os, "fork") else 1, _forked_pool, range(3, len(battery), 3))
 
     results = {
         "checks": checks,
@@ -498,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override master_seed")
         cmd.add_argument("--out", help="override output path")
         cmd.add_argument("--format", choices=["csv", "json"], help="override output format")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads")
+        cmd.add_argument("--threads", type=int, default=1, help="workers: threads, or forked processes for validate")
     return parser
 
 

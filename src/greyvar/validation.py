@@ -53,6 +53,12 @@ def _path_count(n_paths, minimum: int, too_few: str) -> int:
     return _as_int(n_paths, minimum, "n_paths")
 
 
+def _cf_path_count(n_paths) -> int:
+    """n_paths checked as check_increment_cf checks it, so that a caller can
+    check it before any check of a battery runs."""
+    return _path_count(n_paths, 10_000, "characteristic-function checks need >= 1e4 paths")
+
+
 def _dyadic_points(times: Sequence[float]) -> Tuple[DyadicGrid, List[int]]:
     """Coarsest dyadic grid that contains every requested time, and the
     index of each time on it."""
@@ -152,7 +158,7 @@ def check_increment_cf(
         raise ParameterError("s and t must differ")
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ParameterError("times must lie in [0, 1]")
-    n_paths = _path_count(n_paths, 10_000, "characteristic-function checks need >= 1e4 paths")
+    n_paths = _cf_path_count(n_paths)
     grid, (i_s, i_t) = _dyadic_points([s, t])
 
     def stats(batch):

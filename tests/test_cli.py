@@ -2,11 +2,12 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import zipfile
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from greyvar.cli import (
     EXIT_USAGE,
     PRESET_NAMES,
     ConfigError,
+    _pmap,
     cmd_discriminate,
     cmd_estimate,
     cmd_sample,
@@ -458,15 +460,27 @@ class TestValidateCommand:
         assert kinds == ["special-identities", "increment-cf", "moments", "mixing-decay"]
         assert res["all_passed"]
 
-    @pytest.mark.parametrize("key", ["thetas", "moment_orders"])
-    def test_check_without_rows_is_usage_error(self, key, tmp_path, monkeypatch, capsys):
-        # A battery whose check has no rows stops with the check's own message.
+    @pytest.mark.parametrize(
+        ("key", "threads"),
+        [
+            pytest.param("thetas", "1", id="thetas"),
+            pytest.param("moment_orders", "1", id="moment_orders"),
+            pytest.param("thetas", "2", id="thetas-threads-2"),
+            pytest.param("moment_orders", "2", id="moment_orders-threads-2"),
+        ],
+    )
+    def test_check_without_rows_is_usage_error(self, key, threads, tmp_path, monkeypatch, capsys):
+        # A battery whose check has no rows stops with the check's own
+        # message, raised in a worker process at 2 threads.
         battery = {"thetas": "_THETAS", "moment_orders": "_MOMENT_ORDERS"}
         monkeypatch.setattr(f"greyvar.cli.{battery[key]}", ())
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1}))
-        assert main(["validate", "--config", str(path)]) == EXIT_USAGE
-        assert "must hold at least one" in capsys.readouterr().err
+        assert main(["validate", "--config", str(path), "--threads", threads]) == EXIT_USAGE
+        message = {"thetas": "thetas must hold at least one frequency",
+                   "moment_orders": "orders must hold at least one moment order"}[key]
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 class TestValidateThreads:
@@ -481,18 +495,100 @@ class TestValidateThreads:
         assert dump_report(a["results"]) == dump_report(b["results"])
         assert len(a["results"]["checks"]) == 7
 
-    def test_checks_run_on_the_calling_thread(self, monkeypatch):
-        idents = []
-
-        def spy(*args):
-            idents.append(threading.get_ident())
-            return check_even_moments(*args)
-
-        monkeypatch.setattr("greyvar.cli.check_even_moments", spy)
-        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
+    def test_checks_run_in_worker_processes(self, monkeypatch):
+        # The moments checks report the process they ran in; no worker
+        # outlives run_config.
+        monkeypatch.setattr("greyvar.cli.check_even_moments", _pid_report)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = {"param_sets": [[1.0, 1.0], [1.2, 0.6]], "n_paths": 10_000, "master_seed": 21}
-        run_config("validate", cfg, threads=2)
-        assert idents == [threading.get_ident()] * 2
+        checks = run_config("validate", cfg, threads=2)["results"]["checks"]
+        assert multiprocessing.active_children() == []
+        assert [c["check"] for c in checks] == ["special-identities", *["increment-cf", "pid", "mixing-decay"] * 2]
+        pids = [c["pid"] for c in checks if c["check"] == "pid"]
+        assert len(pids) == 2 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_first_failing_check_in_battery_order_raises(self, threads, monkeypatch):
+        # The mixing checks start first at 2 workers, but the cf check comes
+        # first in the battery, so its error is the one raised.
+        monkeypatch.setattr("greyvar.cli.check_increment_cf", _cf_fails)
+        monkeypatch.setattr("greyvar.cli.check_mixing_decay", _mixing_fails)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = {"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 21}
+        with pytest.raises(ParameterError, match="^increment-cf failed$"):
+            run_config("validate", cfg, threads=threads)
+        assert multiprocessing.active_children() == []
+
+
+def _pid_report(*args) -> dict:
+    return {"check": "pid", "pid": os.getpid(), "passed": True}
+
+
+def _cf_fails(*args):
+    raise ParameterError("increment-cf failed")
+
+
+def _mixing_fails(*args):
+    raise InputError("mixing-decay failed")
+
+
+def _in_process_pool(sizes: list):
+    """An executor class that records each pool's max_workers in sizes and
+    runs every task at submit, in the calling process."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    return Pool
+
+
+class TestPoolBound:
+    """A pool has at most min(threads, items, CPU count) workers, whatever
+    --threads is; the pools are stubs, so no thread or process starts."""
+
+    @pytest.mark.parametrize(
+        ("threads", "n_items", "cpus", "workers"),
+        [(100_000, 3, 8, 3), (100_000, 10, 4, 4), (3, 10, 8, 3), (2, 10, None, None)],
+    )
+    def test_pmap_bound(self, threads, n_items, cpus, workers, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes = []
+        out = _pmap(lambda x: x * x, range(n_items), threads, _in_process_pool(sizes), first=[n_items - 1])
+        assert out == [x * x for x in range(n_items)]
+        # cpu_count() None counts as one CPU: the items run in a loop, no pool.
+        assert sizes == ([workers] if workers else [])
+
+    def test_validate_bound(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr("greyvar.cli._forked_pool", _in_process_pool(sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cfg = {"param_sets": [[1.0, 1.0], [1.2, 0.6]], "n_paths": 10_000, "master_seed": 21}
+        stub = run_config("validate", dict(cfg), threads=100_000)["results"]
+        assert sizes == [7]
+        assert dump_report(stub) == dump_report(run_config("validate", cfg)["results"])
+
+    def test_sample_bound(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _in_process_pool(sizes))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = {"alpha": 1.0, "beta": 1.0, "level": 3, "n_paths": 5, "master_seed": 1}
+        assert run_config("sample", dict(cfg), threads=100_000)["results"] == run_config("sample", cfg)["results"]
+        assert sizes == [2]
 
 
 class TestPathCount:
@@ -1003,6 +1099,25 @@ class TestValidateChecksSettingsFirst:
         with pytest.raises(error, match=match):
             runs[key](value)
         assert sum(drawn) == 0
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("n_paths", 9_999, "characteristic-function checks need >= 1e4 paths"),
+            ("n_paths", 1, "characteristic-function checks need >= 1e4 paths"),
+            ("param_sets", [[1.0, 1.0], [3.0, 0.5]], "alpha"),
+        ],
+        ids=["n_paths-9999", "n_paths-1", "param_sets-alpha-3"],
+    )
+    def test_no_worker_starts_before_error(self, key, value, message, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("greyvar.validation.sample_ggbm_batch", _forbidden)
+        monkeypatch.setattr("greyvar.cli.special_identity_report", _forbidden)
+        monkeypatch.setattr("greyvar.cli._forked_pool", _forbidden)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1, key: value}))
+        assert main(["validate", "--config", str(path), "--threads", threads]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 class TestCommandsCheckSettingsFirst:
