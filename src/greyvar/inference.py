@@ -37,7 +37,7 @@ from .errors import (
 from .params import GreyParams, _real, _sequence
 from .sampling import SamplePath
 from .special import GAMMA_ARGMIN, GAMMA_MIN, gamma, normal_abs_moment, theoretical_variation_limit
-from .variation import _check_levels, p_variation_sum, variation_sequence
+from .variation import _check_levels, _level_sums, p_variation_sum, variation_sequence
 
 __all__ = [
     "Candidate",
@@ -357,22 +357,23 @@ def discriminate(
     top = path.dyadic_level
     _check_discrimination(top, threshold)
 
-    v1 = p_variation_sum(path, c1.params.p_critical).value
-    v2 = p_variation_sum(path, c2.params.p_critical).value
+    same_alpha = _isclose(c1.params.alpha, c2.params.alpha)
+    lo = max(1, top - 6)
+    levels = [top] if same_alpha else [top, lo]
+    sums1, sums2 = (_level_sums(path, levels, c.params.p_critical) for c in (c1, c2))
+    v1, v2 = sums1[0], sums2[0]
     d1 = abs(v1 - c1.mu) / c1.mu
     d2 = abs(v2 - c2.mu) / c2.mu
     decision = dict(v=(v1, v2), mu=(c1.mu, c2.mu), distances=(d1, d2), threshold=threshold)
 
-    if _isclose(c1.params.alpha, c2.params.alpha):
+    if same_alpha:
         label = Label.INCONCLUSIVE
         if d1 != d2 and min(d1, d2) < threshold:
             label = Label.FIRST if d1 < d2 else Label.SECOND
         return Decision(label, **decision)
 
-    lo = max(1, top - 6)
     decision["drift_levels"] = (lo, top)
-    w1 = variation_sequence(path, c1.params.p_critical, [lo])[0].value
-    w2 = variation_sequence(path, c2.params.p_critical, [lo])[0].value
+    w1, w2 = sums1[1], sums2[1]
     if min(v1, v2, w1, w2) <= 0.0:
         return Decision(Label.INCONCLUSIVE, **decision)
     flat1 = abs(math.log2(v1 / w1))

@@ -5,9 +5,12 @@ the workhorse; on nested dyadic grids its level sequence diagnoses the
 three regimes (vanishing, exploding, critical) controlled by the sign of
 p*alpha/2 - 1.
 
-Every sum comes from one kernel, ``_level_sum``, which computes each
+Every sum comes from one kernel, ``_level_sums``, which computes each
 (level, p) sum of a path once and keeps it on the path, so the estimators
-and discriminators that read the same sums share them.  Path values are
+and discriminators that read the same sums share them.  One call evaluates
+all the levels it lacks together: their increments go into one buffer,
+which takes one power pass (none at p = 1, a plain square at p = 2), and
+each level's sum is read from its slice.  Path values are
 read-only, so a kept sum cannot go stale; nothing but these sums is kept
 on a path.  The exponent p must be finite and positive; a sum that
 overflows the double range raises NumericalError.  On a uniform n-grid
@@ -21,7 +24,8 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from itertools import accumulate
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,36 +107,48 @@ def _finest(path: SamplePath) -> int:
     return path.grid.level if isinstance(path.grid, DyadicGrid) else path.grid.n
 
 
-def _level_sum(path: SamplePath, level: int, p: float) -> float:
-    """Sum of |increment|^p over every 2^(N-level)-th point of a level-N
-    dyadic path, or over all points of a uniform path (level = n).
+def _level_sums(path: SamplePath, levels: Sequence[int], p: float) -> List[float]:
+    """Sums of |increment|^p over every 2^(N-level)-th point of a level-N
+    dyadic path, or over all points of a uniform path (level = n), one per
+    requested level.
 
     The only code that evaluates a variation sum.  Each (level, p) sum is
-    computed once per path and kept on it.  Its callers check p.
+    computed once per path and kept on it; the missing levels of a call
+    share one increment buffer and one power pass.  Its callers check p
+    and the levels.
     """
-    key = (level, p)
-    value = path._sums.get(key)
-    if value is None:
-        step = 2 ** (_finest(path) - level)
+    sums = path._sums
+    missing = [level for level in dict.fromkeys(levels) if (level, p) not in sums]
+    if missing:
         x = path.values
+        steps = [2 ** (_finest(path) - level) for level in missing]
+        bounds = list(accumulate(((len(x) - 1) // step for step in steps), initial=0))
+        buf = np.empty(bounds[-1])
+        slices = [buf[start:end] for start, end in zip(bounds, bounds[1:])]
         with np.errstate(over="ignore"):
-            d = np.subtract(x[step::step], x[:-step:step])
-            np.abs(d, out=d)
-            d **= p
+            for step, d in zip(steps, slices):
+                np.subtract(x[step::step], x[:-step:step], out=d)
+            if p == 2.0:  # equals abs then power bit for bit
+                np.square(buf, out=buf)
+            else:
+                np.abs(buf, out=buf)
+                if p != 1.0:
+                    buf **= p
+        for level, d in zip(missing, slices):
             value = float(np.sum(d))
-        if not math.isfinite(value):
-            raise NumericalError(
-                f"variation sum at p={p}, level {level} overflows the double range"
-            )
-        path._sums[key] = value
-    return value
+            if not math.isfinite(value):
+                raise NumericalError(
+                    f"variation sum at p={p}, level {level} overflows the double range"
+                )
+            sums[(level, p)] = value
+    return [sums[(level, p)] for level in levels]
 
 
 def p_variation_sum(path: SamplePath, p: float) -> VariationRecord:
     """Sum of |increment|^p over consecutive grid points."""
     _check_exponent(p)
     level_or_n = _finest(path)
-    return VariationRecord(level_or_n=level_or_n, p=p, value=_level_sum(path, level_or_n, p))
+    return VariationRecord(level_or_n=level_or_n, p=p, value=_level_sums(path, [level_or_n], p)[0])
 
 
 def variation_trichotomy(alpha: float, beta: float, p: float) -> TrichotomyLabel:
@@ -162,7 +178,8 @@ def variation_sequence(
     """
     _check_exponent(p)
     levels = _check_levels(levels, path.dyadic_level)
-    return [VariationRecord(level, p, _level_sum(path, level, p)) for level in levels]
+    return [VariationRecord(level, p, value)
+            for level, value in zip(levels, _level_sums(path, levels, p))]
 
 
 def hoelder_dominance_bound(
@@ -177,8 +194,9 @@ def hoelder_dominance_bound(
     _check_exponent(q, "q")
     if not q > p:
         raise ParameterError(f"need q > p > 0, got p={p}, q={q}")
-    p_value = _level_sum(path, _finest(path), p)
-    sup = np.max(np.abs(path.increments()))
+    p_value = _level_sums(path, [_finest(path)], p)[0]
+    d = path.increments()
+    sup = max(0.0, d.max(), -d.min())  # 0.0 first: -0.0 increments give +0.0, as abs does
     with np.errstate(over="ignore"):
         sup_factor = float(sup ** (q - p))
     if not math.isfinite(sup_factor):

@@ -49,10 +49,11 @@ def outcome(call, path):
 
 class _Spy:
     """Stands in for numpy inside greyvar.variation and counts np.subtract,
-    which the kernel calls once per evaluated sum."""
+    which the kernel calls once per evaluated sum, and np.abs."""
 
     def __init__(self):
         self.evaluations = 0
+        self.abs_calls = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -60,6 +61,10 @@ class _Spy:
     def subtract(self, *args, **kwargs):
         self.evaluations += 1
         return np.subtract(*args, **kwargs)
+
+    def abs(self, *args, **kwargs):
+        self.abs_calls += 1
+        return np.abs(*args, **kwargs)
 
 
 class TestOracle:
@@ -74,7 +79,7 @@ class TestOracle:
             for level, p in pairs:
                 expected = direct_sum(path.values, 2 ** (top - level), p)
                 assert variation_sequence(path, p, [level])[0].value == expected
-                assert variation._level_sum(path, level, p) == expected
+                assert variation._level_sums(path, [level], p) == [expected]
         assert p_variation_sum(path, 2.0 / ALPHA).value == direct_sum(path.values, 1, 2.0 / ALPHA)
 
     @pytest.mark.parametrize("order", ["forward", "reverse"])
@@ -84,6 +89,57 @@ class TestOracle:
         for _ in range(2):
             for p in exponents:
                 assert p_variation_sum(path, p).value == direct_sum(path.values, 1, p)
+
+
+class TestMultiLevelOracle:
+    """One kernel call over many levels equals the per-level direct sums."""
+
+    @pytest.mark.parametrize("p", EXPONENTS + (7.3,))
+    def test_dyadic_levels_in_one_call(self, p):
+        top = 12
+        path = ggbm_path(DyadicGrid(top))
+        levels = list(range(top + 1))
+        expected = {level: direct_sum(path.values, 2 ** (top - level), p) for level in levels}
+        np.random.default_rng(MASTER_SEED).shuffle(levels)
+        variation._level_sums(path, levels[:4], p)  # some levels already kept
+        requested = levels + levels[5:7]  # and some repeated
+        assert variation._level_sums(path, requested, p) == [expected[lv] for lv in requested]
+        assert path._sums == {(level, p): value for level, value in expected.items()}
+
+    @pytest.mark.parametrize("p", EXPONENTS + (7.3,))
+    def test_uniform_level_in_one_call(self, p):
+        path = ggbm_path(UniformGrid(1000))
+        expected = direct_sum(path.values, 1, p)
+        assert variation._level_sums(path, [1000, 1000], p) == [expected, expected]
+        assert variation._level_sums(path, [1000], p) == [expected]
+
+
+class TestPowerShortcuts:
+    """p = 1 takes no power and p = 2 squares without abs; both equal the
+    direct sum of |increment|^p bit for bit."""
+
+    INCREMENTS = (0.0, -0.0, 3.0, -3.0, 1.5e-3, -7.0e-5, 5e-324, -5e-324, 2.3e-310,
+                  -1.1e-308, 1e154, -1.5e154, 1e300, -1e300)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("d", INCREMENTS, ids=repr)
+    def test_single_increment(self, p, d):
+        path = SamplePath(DyadicGrid(0), np.array([0.0, d]))
+        with np.errstate(over="ignore"):
+            term = float(np.abs(np.float64(d)) ** p)
+        if math.isfinite(term):
+            assert variation._level_sums(path, [0], p) == [term]
+        else:
+            with pytest.raises(NumericalError):
+                variation._level_sums(path, [0], p)
+            assert path._sums == {}
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_mixed_path(self, p):
+        values = np.array([0.0, 0.0, 5e-324, -5e-324, 2.5, -1.0, -1.0, 1e-310, 0.0])
+        path = SamplePath(DyadicGrid(3), values)
+        expected = [direct_sum(values, 2 ** (3 - level), p) for level in range(4)]
+        assert variation._level_sums(path, [3, 2, 1, 0], p) == expected[::-1]
 
 
 class TestEvaluatedOnce:
@@ -103,6 +159,14 @@ class TestEvaluatedOnce:
         assert len(set(sums)) == len(sums)
         assert spy.evaluations == len(sums)
         assert (12, 2.0 / ALPHA) in path._sums
+
+    @pytest.mark.parametrize("p, abs_calls", [(1 / 0.6, 1), (2.0, 0)])
+    def test_one_call_one_power_pass(self, monkeypatch, p, abs_calls):
+        path = ggbm_path(DyadicGrid(16))
+        spy = _Spy()
+        monkeypatch.setattr(variation, "np", spy)
+        variation_sequence(path, p, range(8, 17))
+        assert (spy.evaluations, spy.abs_calls) == (9, abs_calls)
 
     def test_repeated_calls_reuse_sums(self, monkeypatch):
         path = ggbm_path(DyadicGrid(10))
@@ -145,6 +209,12 @@ def test_kernel_allocates_one_increment_buffer():
     path = ggbm_path(DyadicGrid(16))
     buffer_bytes = path.grid.n_increments * 8
     assert traced_peak(lambda: p_variation_sum(path, 2.0 / ALPHA)) < 1.5 * buffer_bytes
+
+
+def test_multi_level_call_allocates_one_shared_buffer():
+    path = ggbm_path(DyadicGrid(16))
+    peak = traced_peak(lambda: variation_sequence(path, 1 / 0.6, range(8, 17)))
+    assert peak < 1.25 * 2 ** 17 * 8
 
 
 def test_shared_path_across_threads_matches_serial():
@@ -220,6 +290,19 @@ class TestOverflow:
         path = SamplePath(DyadicGrid(10), np.linspace(0.0, 1e4, 1025))
         with pytest.raises(NumericalError, match=r"q=401\.0"):
             hoelder_dominance_bound(path, 1.0, 401.0)
+
+    def test_multi_level_call_names_first_overflow_in_request_order(self):
+        path = self.steep_path()
+        with pytest.raises(NumericalError, match=r"p=2000\.0, level 2\b"):
+            variation._level_sums(path, [5, 2, 0, 1, 4], 2000.0)
+        assert set(path._sums) <= {(5, 2000.0), (4, 2000.0)}
+        assert (5, 2000.0) in path._sums
+
+    def test_overflowing_increment_is_named(self):
+        path = SamplePath(DyadicGrid(1), np.array([0.0, 1.5e308, -1.5e308]))
+        with pytest.raises(NumericalError, match=r"p=1\.0, level 1\b"):
+            variation._level_sums(path, [0, 1], 1.0)
+        assert list(path._sums) == [(0, 1.0)]
 
     def test_overflowed_sum_is_not_kept(self):
         path = self.steep_path()
