@@ -497,6 +497,8 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
     """Execute one command; returns the full report dictionary."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     named = cfg.get("command", command)
     if named != command:
         raise ConfigError(f"config is for command {named!r}, but {command!r} was run")
@@ -561,8 +563,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg["out"] = args.out
         if args.format:
             cfg["format"] = args.format
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
         report = run_config(args.command, cfg, threads=args.threads)
         sys.stdout.write(dump_report(report) + "\n")

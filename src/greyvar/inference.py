@@ -232,15 +232,6 @@ def _beta_from_target(alpha: float, target: float, region: BetaRegion) -> Tuple[
     return alpha * (x - 1.0), False
 
 
-def _beta_estimate(alpha: float, paths: Sequence[SamplePath], region: BetaRegion) -> BetaEstimate:
-    """Beta from the mean critical variation of paths at known alpha."""
-    if not (0.0 < _real(alpha, "alpha") < 2.0):
-        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
-    if not isinstance(region, BetaRegion):
-        raise ParameterError(f"region must be a BetaRegion, got {region!r}")
-    return _beta_from_sums(alpha, [p_variation_sum(p, 2.0 / alpha).value for p in paths], region)
-
-
 def _beta_from_sums(alpha: float, sums: Sequence[float], region: BetaRegion) -> BetaEstimate:
     """Beta from the mean of critical variation sums, V at p = 2/alpha, at an
     alpha already checked to lie in (0, 2)."""
@@ -264,7 +255,7 @@ def estimate_beta(
     the region's Gamma range return the nearest admissible beta with a
     boundary flag, and targets below the global Gamma minimum raise.
     """
-    return _beta_estimate(alpha, [path], region)
+    return estimate_beta_pooled([path], alpha, region)
 
 
 def estimate_beta_pooled(
@@ -278,7 +269,11 @@ def estimate_beta_pooled(
     """
     if not paths:
         raise InputError("need at least one path")
-    return _beta_estimate(alpha, paths, region)
+    if not (0.0 < _real(alpha, "alpha") < 2.0):
+        raise ParameterError(f"alpha must lie in (0, 2), got {alpha}")
+    if not isinstance(region, BetaRegion):
+        raise ParameterError(f"region must be a BetaRegion, got {region!r}")
+    return _beta_from_sums(alpha, [p_variation_sum(p, 2.0 / alpha).value for p in paths], region)
 
 
 class Label(enum.Enum):

@@ -164,21 +164,22 @@ def load_bundle(path: str):
             header = json.loads(bytes(data["header"].tobytes()).decode())
             values = data["values"]
         grid = _grid_from_header(header["grid"])
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        # Only the header's shape is read here; the values are checked by
+        # GreyParams and RngSpec below, whose errors name the field.
+        params = header.get("params")
+        params = (params["alpha"], params["beta"]) if params else None
+        seeds = [(s["master_seed"], s["stream_id"]) if s else None for s in header.get("seeds") or ()]
+    except (ValueError, KeyError, TypeError, AttributeError, EOFError, zipfile.BadZipFile) as exc:
         raise InputError(f"{path!r} is not a greyvar bundle ({type(exc).__name__}: {exc})") from None
-    params = None
-    if header.get("params"):
-        params = GreyParams(header["params"]["alpha"], header["params"]["beta"])
+    params = GreyParams(*params) if params else None
     if values.ndim != 2:
         raise InputError(f"bundle {path!r} values have shape {values.shape}, not 2-D")
-    seeds = header.get("seeds") or [None] * values.shape[1]
+    seeds = seeds or [None] * values.shape[1]
     if len(seeds) != values.shape[1]:
         raise InputError(f"bundle {path!r} has {len(seeds)} seeds for {values.shape[1]} paths")
     paths = []
-    for i in range(values.shape[1]):
-        seed = None
-        if seeds[i]:
-            seed = RngSpec(seeds[i]["master_seed"], seeds[i]["stream_id"])
+    for i, seed in enumerate(seeds):
+        seed = RngSpec(*seed) if seed else None
         paths.append(SamplePath(grid=grid, values=values[:, i], params=params, seed=seed))
     return paths, header
 

@@ -203,7 +203,10 @@ def mwright_pdf(beta: float, tau):
         raise DegenerateDistributionError("M_1 is the point mass at tau = 1: it has no density")
     if not (0.0 < beta <= _MW_BETA_MAX):
         raise ParameterError(f"beta must lie in (0, {_MW_BETA_MAX}] for the density, got {beta}")
-    taus = np.asarray(tau, dtype=float)
+    taus = np.asarray(tau)
+    if taus.dtype.kind not in "iuf":  # bools, strings, bytes, complex and objects
+        raise ParameterError(f"tau must be a real number or an array of them, got {tau!r}")
+    taus = taus.astype(float, copy=False)
     bad = ~np.isfinite(taus) | (taus < 0.0)
     if bad.any():
         raise InputError(f"tau must be finite and nonnegative, got {taus[bad][0]}")

@@ -12,6 +12,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import greyvar
 from greyvar.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -193,8 +194,19 @@ class TestSerialization:
             load_bundle(str(out))
 
     @pytest.mark.parametrize(
-        "header", [None, {"n_paths": 2}, {"grid": {"grid": "dyadic", "level": "x"}}],
-        ids=["no-header", "no-grid", "level-not-int"],
+        "header",
+        [
+            None,
+            {"n_paths": 2},
+            {"grid": {"grid": "dyadic", "level": "x"}},
+            {"grid": {"grid": "dyadic", "level": 3}, "seeds": [1, 2]},
+            {"grid": {"grid": "dyadic", "level": 3}, "seeds": [{"master_seed": 1}, None]},
+            {"grid": {"grid": "dyadic", "level": 3}, "params": {"alpha": 1.0}},
+            {"grid": {"grid": "dyadic", "level": 3}, "params": [1.0, 0.5]},
+            {"grid": "dyadic"},
+        ],
+        ids=["no-header", "no-grid", "level-not-int", "seeds-not-objects", "seed-without-stream_id",
+             "params-without-beta", "params-not-object", "grid-not-object"],
     )
     def test_bundle_without_usable_header_names_file(self, header, tmp_path):
         out = str(tmp_path / "bare.npz")
@@ -203,6 +215,21 @@ class TestSerialization:
             members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
         np.savez(out, **members)
         with pytest.raises(InputError, match="bare.npz"):
+            load_bundle(out)
+
+    @pytest.mark.parametrize(
+        ("field", "header"),
+        [
+            ("master_seed", {"seeds": [{"master_seed": -1, "stream_id": 0}, None]}),
+            ("alpha", {"params": {"alpha": 3.0, "beta": 0.5}}),
+        ],
+        ids=["negative-master_seed", "alpha-out-of-range"],
+    )
+    def test_out_of_range_header_value_names_field(self, field, header, tmp_path):
+        out = str(tmp_path / "bare.npz")
+        header = np.frombuffer(json.dumps({"grid": {"grid": "dyadic", "level": 3}, **header}).encode(), dtype=np.uint8)
+        np.savez(out, values=np.zeros((9, 2)), header=header)
+        with pytest.raises(ParameterError, match=f"^{field} "):
             load_bundle(out)
 
     def test_strided_column_gives_equal_statistics(self, rng):
@@ -625,8 +652,18 @@ class TestShell:
 
     def test_invalid_json_is_usage_error(self, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
-        assert main(["sample", "--config", str(cfg)]) == EXIT_USAGE
+        for text in ("{not json", "[1]", "null"):
+            cfg.write_text(text)
+            assert main(["sample", "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_layer_import_loads_no_other_layer(self):
+        # The package re-exports nothing, so a layer loads only what it imports.
+        probe = "import sys, greyvar.sampling; print(' '.join(m for m in sys.modules if m.startswith('greyvar')))"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        loaded = set(out.stdout.split())
+        assert "greyvar.sampling" in loaded
+        assert not loaded & {"greyvar.inference", "greyvar.validation", "greyvar.cli"}
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         cfg = tmp_path / "c.json"
@@ -645,6 +682,9 @@ class TestShell:
         assert "'discriminate'" in capsys.readouterr().err
         with pytest.raises(ConfigError, match="'estimate'"):
             run_config("sample", payload)
+        for cfg in ([payload], None, "sample"):
+            with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+                run_config("sample", cfg)
 
     def test_config_naming_its_command_runs_and_echoes_it(self, tmp_path, capsys):
         payload = {"command": "sample", "alpha": 1.2, "beta": 0.7, "level": 4, "n_paths": 2, "master_seed": 5}
@@ -681,7 +721,7 @@ class TestShell:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["master_seed"] == 4
-        assert report["version"]
+        assert report["version"] == greyvar.__version__
 
     def test_results_section_byte_reproducible(self):
         cfg = {
@@ -968,11 +1008,11 @@ class TestMalformedConfig:
     )
     def test_thread_count_below_one(self, flags, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
-        monkeypatch.setattr("greyvar.cli.run_config", _forbidden)
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(dict(self.BASE["sample"], master_seed=1)))
         assert main(["sample", "--config", str(path), *flags]) == EXIT_USAGE
-        assert "threads" in capsys.readouterr().err.lower()
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
 
     def test_validate_single_set_fields_are_retired(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("greyvar.cli.special_identity_report", _forbidden)

@@ -227,6 +227,11 @@ class TestEstimateBeta:
             est = estimate_beta_pooled(paths, alpha, region_for(params))
             assert abs(est.beta_hat - beta) <= tol
 
+    @pytest.mark.parametrize("region", list(BetaRegion))
+    def test_single_path_is_pooled_estimate_of_one(self, region):
+        path = sample_ggbm(GreyParams(1.2, 0.7), DyadicGrid(10), RngSpec(MASTER_SEED, 0).stream(2600))
+        assert estimate_beta(path, 1.2, region) == estimate_beta_pooled([path], 1.2, region)
+
     @pytest.mark.parametrize("region", ["low", "high", "bogus", None, 0])
     def test_region_must_be_a_beta_region(self, region):
         path = sample_ggbm(GreyParams(1.0, 0.5), DyadicGrid(10), RngSpec(MASTER_SEED, 0).stream(2500))

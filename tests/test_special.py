@@ -206,6 +206,13 @@ class TestMWrightPdf:
         with pytest.raises(ParameterError, match="^beta must be a real number"):
             mwright_pdf(beta, 1.0)
 
+    @pytest.mark.parametrize(
+        "tau", ["a", "1.0", b"1", 1j, {}, None, True, np.True_, [0.5, "x"]], ids=repr
+    )
+    def test_non_real_tau_is_named(self, tau):
+        with pytest.raises(ParameterError, match="^tau must be a real number"):
+            mwright_pdf(0.5, tau)
+
     def test_degenerate_and_range_errors(self):
         with pytest.raises(DegenerateDistributionError):
             mwright_pdf(1.0, 0.5)
