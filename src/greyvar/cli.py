@@ -91,8 +91,8 @@ def _convert(value, kind):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError
         return float(value)
-    if kind in (str, bool):
-        if not isinstance(value, kind):
+    if kind is str:
+        if not isinstance(value, str):
             raise ValueError
         return value
     raise AssertionError(kind)
@@ -101,7 +101,7 @@ def _convert(value, kind):
 def _field(cfg: dict, key: str, kind, required: bool = True, default=None):
     """Read and check one config field.
 
-    `kind` is int, float, str or bool, `[kind]` for a nonempty list, or a
+    `kind` is int, float or str, `[kind]` for a nonempty list, or a
     tuple of kinds such as `(int, int)` for a list of that length.
     A missing optional field gives `default` as it is.
     """
@@ -156,25 +156,22 @@ def _write(cfg: dict, results: dict, header: Sequence[str] = (), rows: Sequence 
     return results
 
 
-def _pmap(fn: Callable, items: Sequence, threads: int, executor: Optional[Callable] = None,
-          first: Sequence[int] = ()) -> List:
+def _pmap(fn: Callable, items: Sequence, threads: int) -> List:
     """Order-preserving map; results do not depend on scheduling.
 
-    With more than one worker the items run on a pool of `executor` (a
-    ThreadPoolExecutor by default) of min(threads, len(items), CPU count)
-    workers, the items at the indices in `first` started before the others.
-    An error is raised for the first failing item in order, as in a loop.
+    With more than one worker the items run on a thread pool of
+    min(threads, len(items), CPU count) workers.  An error is raised for the
+    first failing item in order, as in a loop.
     """
     workers = min(threads, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(x) for x in items]
-    with (executor or ThreadPoolExecutor)(max_workers=workers) as pool:
-        futures = {i: pool.submit(fn, items[i]) for i in first}
-        futures.update((i, pool.submit(fn, x)) for i, x in enumerate(items) if i not in futures)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, x) for x in items]
         try:
-            return [futures[i].result() for i in range(len(items))]
+            return [future.result() for future in futures]
         finally:
-            for future in futures.values():
+            for future in futures:
                 future.cancel()
 
 
@@ -429,16 +426,6 @@ _MOMENT_ORDERS = (2, 4)
 _LAGS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def _forked_pool(max_workers: int):
-    """A pool of forked worker processes, which start at once and inherit the
-    parent's warm caches.  Its modules are imported here, on first use, so
-    that importing the CLI loads no multiprocessing module."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers, mp_context=multiprocessing.get_context("fork"))
-
-
 def _report(check: Callable) -> dict:
     """Run one check of the battery; its report as a dict."""
     report = check()
@@ -447,16 +434,14 @@ def _report(check: Callable) -> dict:
 
 @_reads("param_sets", "n_paths")
 def cmd_validate(cfg: dict, threads: int = 1) -> dict:
+    """Run the battery on the thread pool.  Each check draws from its own
+    stream offset, so the reports are those of any worker count."""
     if _output(cfg, "json")[1] == "csv":
         raise ConfigError("validate writes no table: config field 'format' must be 'json'")
     param_sets = [GreyParams(a, b) for a, b in _field(cfg, "param_sets", [(float, float)])]
     n_paths = _cf_path_count(_n_paths(cfg, 20000))
     base = _seed_spec(cfg)
 
-    # Each check draws from its own stream offset, so the reports are those
-    # of any worker count.  The checks hold the GIL, so with threads > 1 they
-    # run in up to `threads` forked processes, the level-6 mixing checks, the
-    # costliest, first.  Where fork is unavailable they run in order here.
     battery = [special_identity_report]
     for k, params in enumerate(param_sets):
         cf, moments, mixing = (base.stream(1_000_000 + (3 * k + j) * n_paths) for j in range(3))
@@ -465,7 +450,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
             functools.partial(check_even_moments, params, _T, _MOMENT_ORDERS, n_paths, moments),
             functools.partial(check_mixing_decay, params, _LAGS, n_paths, mixing),
         ]
-    checks = _pmap(_report, battery, threads if hasattr(os, "fork") else 1, _forked_pool, range(3, len(battery), 3))
+    checks = _pmap(_report, battery, threads)
 
     results = {
         "checks": checks,
@@ -534,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, help="override master_seed")
         cmd.add_argument("--out", help="override output path")
         cmd.add_argument("--format", choices=["csv", "json"], help="override output format")
-        cmd.add_argument("--threads", type=int, default=1, help="workers: threads, or forked processes for validate")
+        cmd.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 
 

@@ -6,27 +6,26 @@ minimal embedding of fGn is nonnegative for every size and H (Dietrich &
 Newsam 1997; Craigmile 2003).  fBm is the case beta = 1, that is
 GreyParams(2H, 1.0).  Also: the M-Wright subordinator sampler.
 
-Samplers take an explicit RngSpec and are bit-for-bit reproducible.  One
-batch core draws path i from substream i, path-major and in blocks of paths
-of at most 2^16 half-spectrum entries (one path where a path is longer):
-each path's normals fill one contiguous row, the FFT runs along the rows
-back into them, and they are summed into column i of the returned
-(n_points, n_paths) C-ordered array.  A batch thus holds its output and one
-block.  A block's normals and half spectrum are views of one work array per
-thread, kept for the thread's next draw while it holds at most one block
-(2^16 + 1 entries, about 2 MiB), so a run of paths faults no fresh pages for
-them; a longer path's is its call's alone.  A single path is a batch of one,
-and a batch column equals the single-path call bit for bit.
+Samplers take an explicit RngSpec and are bit-for-bit reproducible.  A
+batch is drawn from one generator: every path's Kanter U, then every path's
+W (beta < 1), then each path's normals in path order.  It runs path-major
+and in blocks of paths of at most 2^16 half-spectrum entries (one path where
+a path is longer): each path's normals fill one contiguous row, the FFT runs
+along the rows back into them, and they are summed into column i of the
+returned (n_points, n_paths) C-ordered array.  A batch thus holds its output,
+one block and its paths' U, W and Y.  A block's normals and half spectrum
+are views of one work array per thread, kept for the thread's next draw
+while it holds at most one block (2^16 + 1 entries, about 2 MiB), so a run
+of paths faults no fresh pages for them; a longer path's is its call's
+alone.  A single path is a batch of one.
 
 Each grid's plan is built once, under one lock across threads: the
 circulant square-root spectrum is cached per (hurst, grid size), the 8 most
 recent.  A circulant draw is one hfft of the half spectrum: the spectral
 draw is Hermitian, so only its first m + 1 of 2m entries are formed.
 
-Substream i is numpy's PCG64 seeded by SeedSequence(entropy=master_seed,
-spawn_key=(stream_id + i,)).  The SeedSequence hash of a whole batch runs in
-one vectorised pass over uint32 arrays and gives the same PCG64 seeds bit for
-bit, so no per-path SeedSequence is built.
+RngSpec(master_seed, stream_id) is numpy's PCG64 seeded by
+SeedSequence(master_seed, spawn_key=(stream_id,)).
 """
 
 from __future__ import annotations
@@ -77,96 +76,11 @@ class RngSpec:
             object.__setattr__(self, name, _as_int(getattr(self, name), 0, name))
 
     def generator(self) -> np.random.Generator:
-        (words,) = _seed_states(self.master_seed, self.stream_id, 1)
-        return np.random.Generator(np.random.PCG64(_SeedState(words)))
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
+        return np.random.Generator(np.random.PCG64(seq))
 
     def stream(self, offset: int) -> "RngSpec":
         return RngSpec(self.master_seed, self.stream_id + offset)
-
-
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _words(value: int) -> list:
-    """Little-endian uint32 words of a nonnegative int; zero is one word."""
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_entropy(entropy: list) -> list:
-    """numpy's SeedSequence pool-of-4 mixing of the assembled entropy words and
-    its generate_state(8, np.uint32), as 8 words.
-
-    A word is an int or a uint32 array with one value per path: the hash
-    constants depend only on the word count, so a batch hashes in one pass,
-    its shared words mixing as ints and the rest broadcasting.
-    """
-    const = _INIT_A
-
-    def hashmix(value, mult=_MULT_A):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const = _INIT_B
-    return [hashmix(pool[j % 4], _MULT_B) for j in range(8)]
-
-
-def _seed_states(master_seed: int, first_id: int, n: int) -> np.ndarray:
-    """(n, 4) uint64 rows of np.random.SeedSequence(entropy=master_seed,
-    spawn_key=(i,)).generate_state(4, np.uint64), i = first_id .. first_id + n - 1.
-
-    Ids are hashed in runs that share their words above the lowest 32 bits.
-    The low word of a one-id run (every single path) is a Python int: on a
-    one-element array, numpy's per-call overhead costs 4x the int hash.
-    """
-    seed_words = _words(master_seed)
-    seed_words += [0] * (4 - len(seed_words))  # SeedSequence pads to the pool before the spawn key
-    state = np.empty((n, 8), np.uint32)
-    i, stop = first_id, first_id + n
-    while i < stop:
-        high = i >> 32
-        end = min(stop, (high + 1) << 32)
-        low = i - (high << 32)
-        if end - i > 1:
-            low = np.arange(low, end - (high << 32), dtype=np.uint32)
-        words = _hash_entropy(seed_words + [low] + (_words(high) if high else []))
-        for j, word in enumerate(words):
-            state[i - first_id:end - first_id, j] = word
-        i = end
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-class _SeedState(np.random.bit_generator.ISeedSequence):
-    """A SeedSequence's generate_state(4, np.uint64) output, computed ahead: a
-    PCG64 seeded with it is in the state the SeedSequence would give it."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
 
 
 @dataclass(frozen=True)
@@ -297,30 +211,6 @@ def _circulant_sqrt_spectrum(hurst: float, m: int) -> np.ndarray:
 _PLAN_LOCK = threading.Lock()
 
 
-def _draws(beta: float, rng: RngSpec, rows: np.ndarray):
-    """Fill rows[i] in place with path i's normals from rng.stream(i), drawn
-    after its Kanter U and W (beta < 1), and return U and W (empty at beta = 1).
-    U is pi times the raw PCG64 word as numpy's next_double forms it, which
-    equals gen.random() and gen.uniform(0, pi) bit for bit without their
-    dtype dispatch.
-
-    A function of its own so that the last generator, whose PCG64 holds a
-    view of the block's seed array, is freed when it returns.
-    """
-    u, w = [], []
-    # One seed holder for the batch: a PCG64 reads its words at construction.
-    seed = _SeedState(None)
-    pcg64, generator = np.random.PCG64, np.random.Generator
-    for row, seed.words in zip(rows, _seed_states(rng.master_seed, rng.stream_id, len(rows))):
-        bits = pcg64(seed)
-        gen = generator(bits)
-        if beta != 1.0:
-            u.append((bits.random_raw() >> 11) * 2.0 ** -53)
-            w.append(gen.standard_exponential())
-        gen.standard_normal(out=row)
-    return math.pi * np.array(u), np.array(w)
-
-
 # Half-spectrum entries per block of a circulant batch: 1 MiB of complex
 # spectrum and as much of normals, however many paths the batch has.
 _BLOCK_ENTRIES = 2 ** 16
@@ -340,14 +230,18 @@ def _block_paths(m: int) -> int:
 
 def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int) -> np.ndarray:
     """(n_points, n_paths) batch of sqrt(Y) times fBm by circulant embedding,
-    column i from rng.stream(i), as in sample_ggbm.
+    drawn from rng.generator() alone: every path's Kanter U, then every
+    path's W (beta < 1), then each path's 2m normals in path order.
 
     Paths are drawn in blocks of _block_paths(m) paths:
     each block's normals are transformed back into their own rows and summed
-    into its columns of the output, so a batch holds its output and one block,
-    in the thread's work array.
+    into its columns of the output, so a batch holds its output, one block
+    in the thread's work array, and U, W and Y.  The normals run on from
+    block to block, so no byte depends on the block size.
     """
     n_paths = _as_int(n_paths, 0, "n_paths")
+    if hurst == 0.0:
+        raise ParameterError("alpha must be at least 1e-323: its Hurst index alpha / 2 underflows to 0")
     # A dyadic grid is checked by its level: 2^level is not formed past the cap.
     # A uniform size past 64 bits is named by its power of two, as an int of
     # more than 4,300 digits cannot be formatted.
@@ -375,12 +269,18 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
         if size <= _SCRATCH_KEEP:  # a path longer than one block is its call's alone
             _SCRATCH.work = work
     out = np.zeros((m + 1, n_paths))
+    gen = rng.generator()
+    # beta = 1 draws no U or W, so the ggBm path then equals the plain fBm
+    # path driven by the same generator.
+    if beta != 1.0:
+        u, w = gen.uniform(0.0, math.pi, n_paths), gen.standard_exponential(n_paths)
+        scale = np.sqrt(_mwright_log_kanter(beta, u, w))
     for lo in range(0, n_paths, block):
         k = min(block, n_paths - lo)
         # One row of spectrum (head) and of normals (tail) per path.
         v = work[:2 * k * (m + 1)].view(complex).reshape(k, m + 1)
         z = work[len(work) - 2 * k * m:].reshape(k, 2 * m)
-        u, w = _draws(beta, rng.stream(lo), z)
+        gen.standard_normal(out=z)
         # The 2m-point spectral draw is Hermitian: only its first m + 1
         # entries are formed.  Its hfft is numpy's own, an unscaled irfft
         # of the conjugate, here conjugated in place rather than copied.
@@ -392,10 +292,8 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
         fgn /= math.sqrt(2 * m)
         fgn *= (1.0 / m) ** hurst
         np.cumsum(fgn.T, axis=0, out=out[1:, lo:lo + k])
-        # beta = 1 consumes no randomness, so the ggBm path then equals
-        # the plain fBm path driven by the same substream.
         if beta != 1.0:
-            out[:, lo:lo + k] *= np.sqrt(_mwright_log_kanter(beta, u, w))
+            out[:, lo:lo + k] *= scale[lo:lo + k]
     return out
 
 
@@ -453,7 +351,8 @@ def sample_ggbm(params: GreyParams, grid: Grid, rng: RngSpec) -> SamplePath:
 def sample_ggbm_batch(
     params: GreyParams, grid: Grid, rng: RngSpec, n_paths: int
 ) -> np.ndarray:
-    """(n_points, n_paths) grey Brownian batch, one substream per path;
-    column i equals sample_ggbm(params, grid, rng.stream(i)).values bit for
-    bit on every grid."""
+    """(n_points, n_paths) grey Brownian batch drawn from rng.generator()
+    alone: every path's Kanter U, then every path's W (beta < 1), then each
+    path's normals in path order.  A batch of one is
+    sample_ggbm(params, grid, rng).values bit for bit on every grid."""
     return _fbm_batch(params.hurst, params.beta, grid, rng, n_paths)

@@ -139,8 +139,9 @@ def mittag_leffler(beta: float, s: float) -> float:
 
 # M_beta: _MW_TERMS Taylor terms below _MW_TAU0, Kanter's integral on _MW_ORDER-point
 # panels above, _MW_BUDGET (tau, node) pairs at a time; 28,000 nodes at _MW_BETA_MAX.
+# Below _MW_BETA_MIN the u panels' edge near pi rounds onto pi.
 _MW_TAU0, _MW_TERMS, _MW_ORDER = 1e-2, 8, 24
-_MW_BUDGET, _MW_BETA_MAX = 128 * 512, 0.999
+_MW_BUDGET, _MW_BETA_MIN, _MW_BETA_MAX = 128 * 512, 1e-15, 0.999
 
 
 @lru_cache(maxsize=8)
@@ -188,7 +189,7 @@ def _mwright_plan(beta: float):
 
 
 def mwright_pdf(beta: float, tau):
-    """M-Wright density M_beta(tau) on tau >= 0 for beta in (0, 0.999].
+    """M-Wright density M_beta(tau) on tau >= 0 for beta in [1e-15, 0.999].
 
     tau may be a scalar, which gives a float, or an array, which gives an
     array of the same shape.  Kanter's integral (Kanter 1975) over the
@@ -201,8 +202,8 @@ def mwright_pdf(beta: float, tau):
     """
     if _real(beta, "beta") == 1.0:
         raise DegenerateDistributionError("M_1 is the point mass at tau = 1: it has no density")
-    if not (0.0 < beta <= _MW_BETA_MAX):
-        raise ParameterError(f"beta must lie in (0, {_MW_BETA_MAX}] for the density, got {beta}")
+    if not (_MW_BETA_MIN <= beta <= _MW_BETA_MAX):
+        raise ParameterError(f"beta must lie in [{_MW_BETA_MIN}, {_MW_BETA_MAX}] for the density, got {beta}")
     taus = np.asarray(tau)
     if taus.dtype.kind not in "iuf":  # bools, strings, bytes, complex and objects
         raise ParameterError(f"tau must be a real number or an array of them, got {tau!r}")

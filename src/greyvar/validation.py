@@ -83,9 +83,11 @@ def _means(
     paths, where stats maps a (points, paths) batch column by column to a
     (rows, paths) array.
 
-    The paths are drawn one sampler block at a time, path d from substream
-    rng.stream(d), and each block's row sums and sums of squares are added
-    to the running totals as soon as it is drawn, so a check holds one block.
+    The paths are drawn one sampler block at a time, the block that starts
+    at path d as one batch from rng.stream(d), so the draws depend on the
+    block rule _block_paths.  Each block's row sums and sums of squares are
+    added to the running totals as soon as it is drawn, so a check holds one
+    block.
     The squares are of rows - shift, where shift is the first block's row
     mean, so a row whose variance is small against its mean square keeps
     the digits of its standard error.

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from greyvar import sampling
 from greyvar.errors import ParameterError
 from greyvar.sampling import RngSpec
 
@@ -57,16 +56,16 @@ def fbm_covariance(hurst, s, t):
 
 def fbm_cholesky_batch(hurst, grid, rng, n_paths):
     """(n_points, n_paths) exact fBm batch by dense Cholesky factorisation,
-    column i from rng.stream(i): the independent oracle for the circulant
-    sampler, with which it shares only the substreams (sampling._draws)."""
+    row i of the normals rng.generator().standard_normal((n_paths, n_points - 1))
+    driving column i: the independent oracle for the circulant sampler, with
+    which it shares only the generator."""
     times = grid.times()[1:]
     cov = fbm_covariance(hurst, times[:, None], times[None, :])
     try:
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         factor = np.linalg.cholesky(cov + 1e-12 * float(np.max(np.diag(cov))) * np.eye(len(times)))
-    rows = np.empty((n_paths, len(times)))
-    sampling._draws(1.0, rng, rows)
+    rows = rng.generator().standard_normal((n_paths, len(times)))
     out = np.zeros((len(times) + 1, n_paths))
     # One column per path in C order, as BLAS rounds a product by the layout
     # of its operands.

@@ -498,7 +498,7 @@ class TestValidateCommand:
     )
     def test_check_without_rows_is_usage_error(self, key, threads, tmp_path, monkeypatch, capsys):
         # A battery whose check has no rows stops with the check's own
-        # message, raised in a worker process at 2 threads.
+        # message, raised in a worker thread at 2 threads.
         battery = {"thetas": "_THETAS", "moment_orders": "_MOMENT_ORDERS"}
         monkeypatch.setattr(f"greyvar.cli.{battery[key]}", ())
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -511,7 +511,7 @@ class TestValidateCommand:
 
 
 class TestValidateThreads:
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
         cfg = {
             "param_sets": [[1.0, 1.0], [1.2, 0.6]],
             "n_paths": 10_000,
@@ -521,23 +521,14 @@ class TestValidateThreads:
         b = run_config("validate", dict(cfg), threads=2)
         assert dump_report(a["results"]) == dump_report(b["results"])
         assert len(a["results"]["checks"]) == 7
-
-    def test_checks_run_in_worker_processes(self, monkeypatch):
-        # The moments checks report the process they ran in; no worker
-        # outlives run_config.
-        monkeypatch.setattr("greyvar.cli.check_even_moments", _pid_report)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        cfg = {"param_sets": [[1.0, 1.0], [1.2, 0.6]], "n_paths": 10_000, "master_seed": 21}
-        checks = run_config("validate", cfg, threads=2)["results"]["checks"]
-        assert multiprocessing.active_children() == []
-        assert [c["check"] for c in checks] == ["special-identities", *["increment-cf", "pid", "mixing-decay"] * 2]
-        pids = [c["pid"] for c in checks if c["check"] == "pid"]
-        assert len(pids) == 2 and os.getpid() not in pids
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        c = run_config("validate", dict(cfg), threads=4)
+        assert dump_report(a["results"]) == dump_report(c["results"])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_first_failing_check_in_battery_order_raises(self, threads, monkeypatch):
-        # The mixing checks start first at 2 workers, but the cf check comes
-        # first in the battery, so its error is the one raised.
+        # At 2 workers both checks run, but the cf check comes first in the
+        # battery, so its error is the one raised.
         monkeypatch.setattr("greyvar.cli.check_increment_cf", _cf_fails)
         monkeypatch.setattr("greyvar.cli.check_mixing_decay", _mixing_fails)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -545,10 +536,6 @@ class TestValidateThreads:
         with pytest.raises(ParameterError, match="^increment-cf failed$"):
             run_config("validate", cfg, threads=threads)
         assert multiprocessing.active_children() == []
-
-
-def _pid_report(*args) -> dict:
-    return {"check": "pid", "pid": os.getpid(), "passed": True}
 
 
 def _cf_fails(*args):
@@ -586,7 +573,7 @@ def _in_process_pool(sizes: list):
 
 class TestPoolBound:
     """A pool has at most min(threads, items, CPU count) workers, whatever
-    --threads is; the pools are stubs, so no thread or process starts."""
+    --threads is; the pools are stubs, so no thread starts."""
 
     @pytest.mark.parametrize(
         ("threads", "n_items", "cpus", "workers"),
@@ -595,14 +582,15 @@ class TestPoolBound:
     def test_pmap_bound(self, threads, n_items, cpus, workers, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         sizes = []
-        out = _pmap(lambda x: x * x, range(n_items), threads, _in_process_pool(sizes), first=[n_items - 1])
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _in_process_pool(sizes))
+        out = _pmap(lambda x: x * x, range(n_items), threads)
         assert out == [x * x for x in range(n_items)]
         # cpu_count() None counts as one CPU: the items run in a loop, no pool.
         assert sizes == ([workers] if workers else [])
 
     def test_validate_bound(self, monkeypatch):
         sizes = []
-        monkeypatch.setattr("greyvar.cli._forked_pool", _in_process_pool(sizes))
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _in_process_pool(sizes))
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         cfg = {"param_sets": [[1.0, 1.0], [1.2, 0.6]], "n_paths": 10_000, "master_seed": 21}
         stub = run_config("validate", dict(cfg), threads=100_000)["results"]
@@ -785,7 +773,7 @@ class TestPresets:
         "prop7-trichotomy": "433b7e26ab33536b469b7846cfb36a0ebff3fa558825ef6f26e4791dc80dad90",
         "thm10-grid": "4bb845f546c6a84353e6eada452bf8d6042310f72148d19e9ee15fd957cf937c",
         "fbm-singularity": "36f2dfb09b17145822ec2a1db667006451aff29c0f0b25aeab14b06dab0a01ab",
-        "validate-all": "5c2f6440fbe29b96015a22d12d7f0695a3587c2df06932d0b37d204ae8d23acc",
+        "validate-all": "9ae81d50f8efcd2274d1f1c161b7527bad0bebf4ced827ced4b04dca0d2defcc",
     }
 
     def test_digests_cover_every_preset(self):
@@ -1153,7 +1141,7 @@ class TestValidateChecksSettingsFirst:
     def test_no_worker_starts_before_error(self, key, value, message, threads, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("greyvar.validation.sample_ggbm_batch", _forbidden)
         monkeypatch.setattr("greyvar.cli.special_identity_report", _forbidden)
-        monkeypatch.setattr("greyvar.cli._forked_pool", _forbidden)
+        monkeypatch.setattr("greyvar.cli.ThreadPoolExecutor", _forbidden)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"param_sets": [[1.0, 1.0]], "n_paths": 10_000, "master_seed": 1, key: value}))
         assert main(["validate", "--config", str(path), "--threads", threads]) == EXIT_USAGE

@@ -23,7 +23,6 @@ from greyvar.sampling import (
     UniformGrid,
     _circulant_sqrt_spectrum,
     _fgn_autocovariance,
-    _seed_states,
     sample_ggbm,
     sample_ggbm_batch,
     sample_mwright,
@@ -65,6 +64,19 @@ def test_fbm_samplers_check_hurst_first(rng):
             call()
 
 
+@pytest.mark.parametrize("beta", [0.6, 1.0])
+def test_alpha_whose_hurst_underflows_is_named(beta, rng):
+    # alpha = 5e-324 halves to a Hurst index of 0.0, which drew all-zero paths.
+    for call in (
+        lambda: sample_ggbm(GreyParams(5e-324, beta), DyadicGrid(3), rng),
+        lambda: sample_ggbm_batch(GreyParams(5e-324, beta), DyadicGrid(3), rng, 2),
+    ):
+        with pytest.raises(ParameterError, match="^alpha must be at least 1e-323"):
+            call()
+    batch = sample_ggbm_batch(GreyParams(1e-323, beta), DyadicGrid(3), rng, 2)
+    assert np.all(np.isfinite(batch)) and np.all(batch[1:] != 0.0)
+
+
 @pytest.mark.parametrize("field", ["alpha", "beta"])
 @pytest.mark.parametrize("value", ["1.0", None, True, np.True_, 1j, [1.0]], ids=repr)
 def test_params_reject_non_real_fields(field, value):
@@ -102,12 +114,15 @@ class TestCholesky:
         assert a[0] == 0.0
 
     @pytest.mark.parametrize("grid, n_paths", [(UniformGrid(100), 5), (DyadicGrid(6), 3), (UniformGrid(7), 1)])
-    def test_batch_is_factor_times_column_major_normals(self, grid, n_paths, rng, monkeypatch):
+    def test_batch_is_factor_times_column_major_normals(self, grid, n_paths, rng):
         # BLAS rounds by operand layout: the normals must reach it in C order,
-        # as numpy's own draws, one column per path, do.
-        got = fbm_cholesky_batch(0.6, grid, rng, n_paths)
-        monkeypatch.setattr(sampling, "_draws", _numpy_fill)
-        assert got.tobytes() == fbm_cholesky_batch(0.6, grid, rng, n_paths).tobytes()
+        # one column per path.
+        times = grid.times()[1:]
+        factor = np.linalg.cholesky(fbm_covariance(0.6, times[:, None], times[None, :]))
+        z = _numpy_generator(rng).standard_normal((n_paths, len(times))).T.copy()
+        expected = np.zeros((len(times) + 1, n_paths))
+        expected[1:] = factor @ z
+        assert fbm_cholesky_batch(0.6, grid, rng, n_paths).tobytes() == expected.tobytes()
 
     def test_brownian_increment_variance(self, rng):
         batch = fbm_cholesky_batch(0.5, DyadicGrid(10), rng, 10_000)
@@ -295,11 +310,13 @@ class TestGgbm:
              "uniform999-0.7"],
     )
     def test_batch_equals_singles(self, grid, beta, atol, rng):
+        # A batch of one is the single path; a larger batch runs on in the
+        # same generator, as the one-generator reference draws it.
         params = GreyParams(1.2, beta)
-        batch = sample_ggbm_batch(params, grid, rng, 6)
-        for i in range(6):
-            single = sample_ggbm(params, grid, rng.stream(i))
-            np.testing.assert_allclose(batch[:, i], single.values, rtol=0.0, atol=atol)
+        single = sample_ggbm(params, grid, rng).values
+        np.testing.assert_allclose(sample_ggbm_batch(params, grid, rng, 1)[:, 0], single, rtol=0.0, atol=atol)
+        expected = _column_major_batch(params.hurst, beta, grid, rng, 6)
+        np.testing.assert_allclose(sample_ggbm_batch(params, grid, rng, 6), expected, rtol=0.0, atol=atol)
 
     def test_uniform_power_of_two_grid(self, rng):
         path = sample_ggbm(GreyParams(1.2, 0.7), UniformGrid(256), rng)
@@ -376,23 +393,13 @@ def _numpy_generator(rng):
 
 
 def _numpy_draws(beta, rng, n_paths, n_normals):
-    """The batch draws with one numpy-built generator per path: the reference for _draws."""
+    """A batch's draws from one numpy-built generator: every path's U, then
+    every path's W (beta < 1), then each path's normals, one column each."""
+    gen = _numpy_generator(rng)
     u, w = np.zeros((2, n_paths))
-    z = np.empty((n_normals, n_paths))
-    for i in range(n_paths):
-        gen = _numpy_generator(rng.stream(i))
-        if beta != 1.0:
-            u[i] = gen.uniform(0.0, math.pi)
-            w[i] = gen.standard_exponential()
-        z[:, i] = gen.standard_normal(n_normals)
-    return u, w, z
-
-
-def _numpy_fill(beta, rng, rows):
-    """_numpy_draws in the form of _draws, which fills the rows it is handed."""
-    u, w, z = _numpy_draws(beta, rng, *rows.shape)
-    rows[...] = z.T
-    return u, w
+    if beta != 1.0:
+        u, w = gen.uniform(0.0, math.pi, n_paths), gen.standard_exponential(n_paths)
+    return u, w, gen.standard_normal((n_paths, n_normals)).T
 
 
 def _numpy_kanter(beta, rng, size):
@@ -427,8 +434,6 @@ class TestSubstreamSeeding:
         for seed in self.SEEDS:
             for i in self.IDS:
                 seq = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-                words = _seed_states(seed, i, 1)
-                assert words.tobytes() == seq.generate_state(4, np.uint64).tobytes(), (seed, i)
                 gen = RngSpec(seed, i).generator()
                 assert gen.bit_generator.state == np.random.PCG64(seq).state, (seed, i)
 
@@ -438,12 +443,11 @@ class TestSubstreamSeeding:
         assert [rng.stream(k).generator().bit_generator.state for k in range(6)] == expected
 
     @pytest.mark.parametrize("beta", [0.6, 1.0])
-    def test_batch_across_two_to_the_32_matches_numpy(self, beta, monkeypatch):
+    def test_batch_across_two_to_the_32_matches_numpy(self, beta):
         params = GreyParams(1.2, beta)
         rng = RngSpec(20260810, 2 ** 32 - 3)
         got = sample_ggbm_batch(params, DyadicGrid(4), rng, 6)
-        monkeypatch.setattr(sampling, "_draws", _numpy_fill)
-        expected = sample_ggbm_batch(params, DyadicGrid(4), rng, 6)
+        expected = _column_major_batch(params.hurst, beta, DyadicGrid(4), rng, 6)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("beta", [0.3, 0.9])
@@ -550,27 +554,6 @@ class TestPathMajorDraws:
             expected = _column_major_batch(params.hurst, beta, grid, rng, n_paths)
             assert batch.tobytes() == expected.tobytes(), n_paths
 
-    @pytest.mark.parametrize("beta", [0.6, 1.0])
-    def test_draws_write_only_the_rows_they_are_given(self, beta):
-        rng = RngSpec(2 ** 64 + 9, 2 ** 32 - 2)
-        buf = np.full(100, np.nan)
-        rows = buf[13:73].reshape(5, 12)
-        u, w = sampling._draws(beta, rng, rows)
-        assert np.isnan(buf[:13]).all() and np.isnan(buf[73:]).all()
-        ref_u, ref_w, ref_z = _numpy_draws(beta, rng, 5, 12)
-        assert rows.tobytes() == ref_z.T.tobytes()
-        if beta == 1.0:
-            assert u.size == w.size == 0
-        else:
-            assert (u.tobytes(), w.tobytes()) == (ref_u.tobytes(), ref_w.tobytes())
-
-    def test_kanter_u_from_the_raw_word_is_uniform_bit_for_bit(self):
-        bits = np.random.PCG64(np.random.SeedSequence(20260810))
-        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(20260810)))
-        u = math.pi * ((bits.random_raw(10 ** 5) >> np.uint64(11)) * 2.0 ** -53)
-        assert u.tobytes() == gen.uniform(0.0, math.pi, 10 ** 5).tobytes()
-        assert math.pi * ((bits.random_raw() >> 11) * 2.0 ** -53) == gen.uniform(0.0, math.pi)
-
 
 def _block(grid):
     """Paths per block of a circulant batch on grid."""
@@ -594,31 +577,19 @@ class TestStreamedBlocks:
             assert batch.tobytes() == expected.tobytes(), n_paths
 
     @pytest.mark.parametrize("grid", [DyadicGrid(6), UniformGrid(999)], ids=repr)
-    def test_columns_equal_single_paths_across_block_edges(self, grid):
+    def test_bytes_do_not_depend_on_block_size(self, grid, monkeypatch):
         params = GreyParams(1.2, 0.6)
-        block = _block(grid)
-        batch = sample_ggbm_batch(params, grid, self.RNG, 2 * block + 3)
-        for i in (0, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 2):
-            single = sample_ggbm(params, grid, self.RNG.stream(i)).values
-            assert batch[:, i].tobytes() == single.tobytes(), i
+        n_paths = 2 * _block(grid) + 3
+        batch = sample_ggbm_batch(params, grid, self.RNG, n_paths)
+        for entries in (64, 1):
+            monkeypatch.setattr(sampling, "_BLOCK_ENTRIES", entries)
+            assert sample_ggbm_batch(params, grid, self.RNG, n_paths).tobytes() == batch.tobytes(), entries
 
     @pytest.mark.parametrize("grid", [DyadicGrid(6), DyadicGrid(16), UniformGrid(999)], ids=repr)
-    def test_draws_once_per_block(self, grid, monkeypatch):
-        calls = []
-        draws = sampling._draws
-
-        def spy(beta, rng, rows):
-            calls.append((rng.stream_id, rows.shape))
-            return draws(beta, rng, rows)
-
-        monkeypatch.setattr(sampling, "_draws", spy)
-        block = _block(grid)  # one path past 2^16 - 1 increments
-        n_paths = 2 * block + 3
-        sample_ggbm_batch(GreyParams(1.2, 0.7), grid, self.RNG, n_paths)
-        assert calls == [
-            (self.RNG.stream_id + lo, (min(block, n_paths - lo), 2 * grid.n_increments))
-            for lo in range(0, n_paths, block)
-        ]
+    def test_batch_of_one_is_the_single_path(self, grid):
+        params = GreyParams(1.2, 0.7)
+        single = sample_ggbm(params, grid, self.RNG).values
+        assert sample_ggbm_batch(params, grid, self.RNG, 1)[:, 0].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("n_paths, bound_mib", [(10_000, 10), (20_000, 16)])
     def test_batch_peak_holds_output_and_one_block(self, n_paths, bound_mib):
@@ -729,9 +700,9 @@ class TestSamplerPlans:
             expected = _full_fft_batch(params.hurst, beta, level, rng, n_paths)
             batch = sample_ggbm_batch(params, DyadicGrid(level), rng, n_paths)
             assert np.abs(batch - expected).max() <= 1e-13 * np.abs(expected).max()
-            for i in range(n_paths):
-                single = sample_ggbm(params, DyadicGrid(level), rng.stream(i))
-                assert single.values.tobytes() == batch[:, i].tobytes()
+            if n_paths == 1:  # a batch of one is the single path
+                single = sample_ggbm(params, DyadicGrid(level), rng)
+                assert single.values.tobytes() == batch[:, 0].tobytes()
 
     @staticmethod
     def _count_spectrum_builds(monkeypatch):

@@ -384,6 +384,19 @@ class TestMWrightOracle:
             mwright_pdf(0.9995, 1.0)
         assert math.isfinite(mwright_pdf(0.999, 1.0))
 
+    @pytest.mark.parametrize("beta", [1e-16, 1e-50, 1e-200, 1e-300, 5e-324], ids=repr)
+    def test_beta_below_node_floor_is_rejected(self, beta):
+        # The u panels' edge near pi rounds onto pi below beta = 3.886e-16,
+        # which ended in a bare ZeroDivisionError.
+        with pytest.raises(ParameterError, match=r"^beta must lie in \[1e-15, 0.999\]"):
+            mwright_pdf(beta, 1.0)
+
+    def test_beta_at_node_floor_is_first_order_in_beta(self):
+        # M_beta(tau) = e^-tau (1 - gamma beta (1 - tau)) + O(beta^2).
+        beta, taus = 1e-15, np.geomspace(1e-3, 300.0, 61)
+        first_order = np.exp(-taus) * (1.0 - 0.5772156649015329 * beta * (1.0 - taus))
+        assert np.all(np.abs(mwright_pdf(beta, taus) / first_order - 1.0) <= 2e-13)
+
     def test_beta_near_one(self):
         # M_0.99 rises from 1/Gamma(0.01) ~ 0.01 at 0 to a peak near 1 and
         # underflows beyond tau ~ 1.13.

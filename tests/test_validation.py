@@ -217,7 +217,7 @@ class TestCheckReport:
 
     def test_means_stream_chunks_in_substream_order(self, rng, monkeypatch):
         # Three blocks of 4,000, 4,000 and 2,000 paths: each row is the sum of
-        # its per-block sums, path d drawn from substream d.
+        # its per-block sums, the block at path d drawn from substream d.
         monkeypatch.setattr(validation, "_block_paths", lambda m: 4000)
         params, n = GreyParams(1.2, 0.6), 10_000
         report = check_even_moments(params, 1.0, [2], n, rng)
@@ -286,12 +286,12 @@ def _assert_block_draws(calls, grid, n_paths, rng):
 
 def _whole_batch_moments(params, grid, n_paths, rng, stats):
     """Mean and mean square of each row of stats over n_paths paths, every
-    path's rows reduced at once: the paths are drawn in pieces of 1,000,
-    not a multiple of any case's sampler block, and their rows joined
-    before one sum per row."""
+    path's rows reduced at once: the paths are drawn in the blocks that
+    _means draws, and their rows joined before one sum per row."""
+    block = _block_paths(grid.n_increments)
     rows = np.concatenate(
-        [stats(sample_ggbm_batch(params, grid, rng.stream(d), min(1000, n_paths - d)))
-         for d in range(0, n_paths, 1000)],
+        [stats(sample_ggbm_batch(params, grid, rng.stream(d), min(block, n_paths - d)))
+         for d in range(0, n_paths, block)],
         axis=1,
     )
     return np.concatenate([rows.sum(axis=1), (rows * rows).sum(axis=1)]) / n_paths
