@@ -36,7 +36,7 @@ from .inference import (
     estimate_alpha,
     region_for,
 )
-from .params import GreyParams
+from .params import GreyParams, _integer
 from .sampling import (
     DyadicGrid,
     Grid,
@@ -47,7 +47,7 @@ from .sampling import (
 from .serialize import atomic_write_bytes, dump_report, path_to_csv, save_bundle, table_csv
 from .special import theoretical_variation_limit
 from .validation import (
-    _cf_path_count,
+    CF_MIN_PATHS,
     check_even_moments,
     check_increment_cf,
     check_mixing_decay,
@@ -129,8 +129,8 @@ def _grid_from(cfg: dict) -> Grid:
 
 def _n_paths(cfg: dict, default: int) -> int:
     n_paths = _field(cfg, "n_paths", int, required=False, default=default)
-    if n_paths < 1:
-        raise ConfigError(f"config field 'n_paths' must be >= 1, got {n_paths}")
+    if _integer(n_paths, "config field 'n_paths'", 1, ConfigError) > sys.maxsize:
+        raise ConfigError(f"config field 'n_paths' exceeds {sys.maxsize}, the most paths a run can index")
     return n_paths
 
 
@@ -167,12 +167,7 @@ def _pmap(fn: Callable, items: Sequence, threads: int) -> List:
     if workers <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, x) for x in items]
-        try:
-            return [future.result() for future in futures]
-        finally:
-            for future in futures:
-                future.cancel()
+        return list(pool.map(fn, items))
 
 
 # Config fields every command takes; each command declares the rest with _reads.
@@ -378,6 +373,8 @@ def cmd_discriminate(cfg: dict, threads: int = 1) -> dict:
     # Path i of candidate c comes from substream c * n_paths + i. It is drawn
     # once, and every pair that holds c decides on it.
     drawn = sorted({c for pair in pairs for c in pair})
+    if len(drawn) * n_paths > sys.maxsize:
+        raise ConfigError(f"config field 'n_paths' times the {len(drawn)} candidates drawn exceeds {sys.maxsize}")
 
     def one(n: int) -> dict:
         c, i = drawn[n // n_paths], n % n_paths
@@ -439,7 +436,7 @@ def cmd_validate(cfg: dict, threads: int = 1) -> dict:
     if _output(cfg, "json")[1] == "csv":
         raise ConfigError("validate writes no table: config field 'format' must be 'json'")
     param_sets = [GreyParams(a, b) for a, b in _field(cfg, "param_sets", [(float, float)])]
-    n_paths = _cf_path_count(_n_paths(cfg, 20000))
+    n_paths = _integer(_n_paths(cfg, 20000), "n_paths", CF_MIN_PATHS)
     base = _seed_spec(cfg)
 
     battery = [special_identity_report]
@@ -493,8 +490,7 @@ def run_config(command: str, cfg: dict, threads: int = 1) -> dict:
         hint = f"; {_FBM_IS_GGBM}" if "hurst" in unknown else ""
         raise ConfigError(f"unknown config field(s) for {command}: {', '.join(map(repr, unknown))}{hint}")
     _output(cfg, "json")  # the shared fields, checked before any work
-    if not isinstance(threads, (int, np.integer)) or isinstance(threads, bool) or threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    threads = _integer(threads, "threads", 1, ConfigError)
     started = time.perf_counter()
     results = _COMMANDS[command](cfg, threads=threads)
     return {

@@ -18,6 +18,20 @@ def _real(value, name: str):
     return value
 
 
+def _integer(value, name: str, minimum=None, error=ParameterError) -> int:
+    """value as a Python int (equal values make equal cache keys) if it is an
+    integer, not a bool, and >= minimum when given; else error naming name."""
+    # type() skips the slower abstract-class check for a plain int; a bool's type is bool.
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        if minimum is None or value >= minimum:
+            return int(value)
+    bound = "" if minimum is None else f" >= {minimum}"
+    # An int of more than 4,300 digits cannot be formatted: name its size.
+    bits = value.bit_length() if isinstance(value, int) else 0
+    shown = f"an integer of {bits} bits" if bits > 64 else repr(value)
+    raise error(f"{name} must be an integer{bound}, got {shown}")
+
+
 def _sequence(values, name: str, error=ParameterError) -> list:
     """values as a list; a non-iterable raises error (a ParameterError unless
     given) naming name."""

@@ -39,7 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import CapacityError, InputError, NumericalError, ParameterError
-from .params import GreyParams, _real
+from .params import GreyParams, _integer, _real
 
 __all__ = [
     "RngSpec",
@@ -55,14 +55,6 @@ __all__ = [
 CIRCULANT_MAX_LEVEL = 24
 
 
-def _as_int(value, minimum: int, what: str) -> int:
-    """value as a Python int >= minimum, so that equal values are equal cache
-    keys; bools and non-integers raise."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
-        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class RngSpec:
     """Seed pair identifying one reproducible random substream."""
@@ -73,7 +65,7 @@ class RngSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
             # No fixed-width wraparound in stream().
-            object.__setattr__(self, name, _as_int(getattr(self, name), 0, name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0))
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
@@ -90,7 +82,7 @@ class DyadicGrid:
     level: int
 
     def __post_init__(self):
-        object.__setattr__(self, "level", _as_int(self.level, 0, "dyadic level"))
+        object.__setattr__(self, "level", _integer(self.level, "dyadic level", 0))
 
     @property
     def n_increments(self) -> int:
@@ -108,7 +100,7 @@ class UniformGrid:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _as_int(self.n, 1, "uniform grid size"))
+        object.__setattr__(self, "n", _integer(self.n, "uniform grid size", 1))
 
     @property
     def n_increments(self) -> int:
@@ -239,7 +231,7 @@ def _fbm_batch(hurst: float, beta: float, grid: Grid, rng: RngSpec, n_paths: int
     in the thread's work array, and U, W and Y.  The normals run on from
     block to block, so no byte depends on the block size.
     """
-    n_paths = _as_int(n_paths, 0, "n_paths")
+    n_paths = _integer(n_paths, "n_paths", 0)
     if hurst == 0.0:
         raise ParameterError("alpha must be at least 1e-323: its Hurst index alpha / 2 underflows to 0")
     # A dyadic grid is checked by its level: 2^level is not formed past the cap.
@@ -327,7 +319,7 @@ def sample_mwright(beta: float, rng: RngSpec, size: Optional[int] = None):
     stable S, which has density M_beta; beta = 1 is the unit point mass."""
     if not (0.0 < _real(beta, "beta") <= 1.0):
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    n = 1 if size is None else _as_int(size, 0, "size")
+    n = 1 if size is None else _integer(size, "size", 0)
     if beta == 1.0:
         return 1.0 if size is None else np.ones(n)
     gen = rng.generator()

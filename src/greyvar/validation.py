@@ -11,15 +11,14 @@ special_identity_report checks the special functions deterministically.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InputError, ParameterError
-from .params import GreyParams, _real, _sequence
-from .sampling import DyadicGrid, RngSpec, _as_int, _block_paths, sample_ggbm_batch
+from .params import GreyParams, _integer, _real, _sequence
+from .sampling import DyadicGrid, RngSpec, _block_paths, sample_ggbm_batch
 from .special import _gauss_panels, mittag_leffler, mwright_pdf
 from .special import gamma as _gamma
 
@@ -34,6 +33,7 @@ __all__ = [
 
 Z_PASS = 4.0
 _MAX_CF_LEVEL = 12
+CF_MIN_PATHS = 10_000  # the fewest paths check_increment_cf, and so validate, takes
 
 
 def _float(value, name: str) -> float:
@@ -43,20 +43,6 @@ def _float(value, name: str) -> float:
         return float(_real(value, name))
     except OverflowError:
         raise ParameterError(f"{name} is outside the double range, got {value!r}") from None
-
-
-def _path_count(n_paths, minimum: int, too_few: str) -> int:
-    """n_paths as an int >= minimum; a non-integer, bools included, is a
-    ParameterError naming n_paths, and a smaller integer one saying too_few."""
-    if isinstance(n_paths, (int, np.integer)) and not isinstance(n_paths, bool) and n_paths < minimum:
-        raise ParameterError(too_few.format(n_paths))
-    return _as_int(n_paths, minimum, "n_paths")
-
-
-def _cf_path_count(n_paths) -> int:
-    """n_paths checked as check_increment_cf checks it, so that a caller can
-    check it before any check of a battery runs."""
-    return _path_count(n_paths, 10_000, "characteristic-function checks need >= 1e4 paths")
 
 
 def _dyadic_points(times: Sequence[float]) -> Tuple[DyadicGrid, List[int]]:
@@ -80,8 +66,8 @@ def _means(
     stats: Callable[[np.ndarray], np.ndarray],
 ) -> Tuple[np.ndarray, List[float]]:
     """Mean and standard error of each row of stats(batch) over n_paths ggBm
-    paths, where stats maps a (points, paths) batch column by column to a
-    (rows, paths) array.
+    paths (an integer >= 1, checked before any draw), where stats maps a
+    (points, paths) batch column by column to a (rows, paths) array.
 
     The paths are drawn one sampler block at a time, the block that starts
     at path d as one batch from rng.stream(d), so the draws depend on the
@@ -92,7 +78,7 @@ def _means(
     mean, so a row whose variance is small against its mean square keeps
     the digits of its standard error.
     """
-    n_paths = _path_count(n_paths, 1, "a check needs at least one path, got {}")
+    n_paths = _integer(n_paths, "n_paths", 1)
     block = _block_paths(grid.n_increments)
     sums = sq_sums = 0.0
     for d in range(0, n_paths, block):
@@ -149,7 +135,7 @@ def check_increment_cf(
 ) -> CheckReport:
     """Empirical characteristic function of x(t) - x(s) at each frequency in
     thetas against the Mittag-Leffler law E_beta(-theta^2 |t-s|^alpha / 2),
-    over n_paths >= 10^4 paths."""
+    over n_paths >= CF_MIN_PATHS (10^4) paths."""
     thetas = [_float(x, f"thetas[{i}]") for i, x in enumerate(_sequence(thetas, "thetas"))]
     if not thetas:
         raise ParameterError("thetas must hold at least one frequency")
@@ -160,7 +146,7 @@ def check_increment_cf(
         raise ParameterError("s and t must differ")
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ParameterError("times must lie in [0, 1]")
-    n_paths = _cf_path_count(n_paths)
+    n_paths = _integer(n_paths, "n_paths", CF_MIN_PATHS)
     grid, (i_s, i_t) = _dyadic_points([s, t])
 
     def stats(batch):
@@ -202,15 +188,13 @@ def check_even_moments(
     rng: RngSpec,
 ) -> CheckReport:
     """Sample moments of x(t) against the closed form; each even order is
-    paired with the preceding odd order, which must vanish."""
-    orders = _sequence(orders, "orders")
+    paired with the preceding odd order, which must vanish.  Each orders[i]
+    must be an integer, and each order 2 or 4."""
+    orders = [_integer(order, f"orders[{i}]") for i, order in enumerate(_sequence(orders, "orders"))]
     if not orders:
         raise ParameterError("orders must hold at least one moment order")
-    for order in orders:
-        if isinstance(order, bool) or not isinstance(order, numbers.Integral):
-            raise ParameterError(f"orders must be integers, got {order!r}")
-        if order <= 0 or order % 2 != 0 or order > 4:
-            raise ParameterError("orders must be even, positive, and at most 4")
+    if any(order <= 0 or order % 2 != 0 or order > 4 for order in orders):
+        raise ParameterError("orders must be even, positive, and at most 4")
     if not (0.0 < _real(t, "t") <= 1.0):
         raise ParameterError("t must lie in (0, 1]")
     grid, (i_t,) = _dyadic_points([t])
@@ -246,7 +230,7 @@ def gauss_legendre_integral(
     integral per column.  panels and order are integers >= 1, and a and b
     finite reals; anything else is a ParameterError.
     """
-    panels, order = _as_int(panels, 1, "panels"), _as_int(order, 1, "order")
+    panels, order = _integer(panels, "panels", 1), _integer(order, "order", 1)
     for name, value in (("a", a), ("b", b)):
         if not math.isfinite(_float(value, name)):
             raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -307,14 +291,12 @@ def check_mixing_decay(
     self-similarity rescaling J^(alpha/2) x(j/J), J = 2^ceil(log2(max lag)),
     so lag j pairs f(increment 1) with f(increment j).  Lag 1 is the
     variance baseline; the decay criterion applies to the largest lag only.
+    Each lags[i] is an integer in [1, 128], and lags holds at least one.
     """
     lags = _sequence(lags, "lags", InputError)
-    for lag in lags:
-        if isinstance(lag, bool) or not isinstance(lag, numbers.Integral):
-            raise InputError(f"lag {lag!r} is not an integer")
-    lags = sorted(set(int(l) for l in lags))
-    if not lags or lags[0] < 1:
-        raise InputError("lags must be positive integers")
+    lags = sorted({_integer(lag, f"lags[{i}]", 1, InputError) for i, lag in enumerate(lags)})
+    if not lags:
+        raise InputError("lags must hold at least one lag")
     if lags[-1] > 128:
         raise InputError("lags are capped at 128")
     grid = DyadicGrid(max(1, math.ceil(math.log2(lags[-1]))))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -30,7 +29,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InputError, NumericalError, ParameterError
-from .params import GreyParams, _real, _sequence
+from .params import GreyParams, _integer, _real, _sequence
 from .sampling import DyadicGrid, SamplePath
 from .special import theoretical_variation_limit
 
@@ -55,12 +54,11 @@ def _check_exponent(p: float, name: str = "p") -> None:
 
 
 def _check_levels(levels: Iterable[int], top: Optional[int]) -> List[int]:
-    """levels as a list, or the InputError variation_sequence raises for
-    them on a level-top path; top None checks only that they are integers."""
+    """levels as a list of ints; a non-integer, or with top given one outside
+    [0, top], is the InputError variation_sequence raises on a level-top path."""
     levels = _sequence(levels, "levels", InputError)
+    levels = [_integer(level, "level", error=InputError) for level in levels]
     for level in levels:
-        if isinstance(level, bool) or not isinstance(level, numbers.Integral):
-            raise InputError(f"level {level!r} is not an integer")
         if top is not None and not (0 <= level <= top):
             raise InputError(f"level {level} outside [0, {top}]")
     return levels

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import zipfile
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -550,15 +550,9 @@ def _in_process_pool(sizes: list):
     """An executor class that records each pool's max_workers in sizes and
     runs every task at submit, in the calling process."""
 
-    class Pool:
+    class Pool(Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def submit(self, fn, *args):
             future = Future()
@@ -620,6 +614,25 @@ class TestPathCount:
         path.write_text(json.dumps(dict(cfg, n_paths=0, master_seed=3)))
         assert main([command, "--config", str(path)]) == EXIT_USAGE
         assert "n_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        ("command", "cfg"),
+        [
+            ("sample", {"alpha": 1.0, "beta": 1.0, "level": 3, "n_paths": 10 ** 19}),
+            ("variation", {"alpha": 1.0, "beta": 1.0, "level": 8, "p_values": [2.0], "n_paths": 10 ** 19}),
+            ("estimate", {"alpha": 1.0, "beta": 1.0, "level": 10, "n_paths": 10 ** 19}),
+            # Two candidates of 2^62 paths each make 2^63 tasks, one past sys.maxsize.
+            ("discriminate", {"candidates": [[1.0, 1.0], [1.6, 1.0]], "level": 8, "n_paths": 2 ** 62}),
+        ],
+        ids=["sample", "variation", "estimate", "discriminate"],
+    )
+    def test_count_past_maxsize_is_usage_error(self, command, cfg, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("greyvar.cli.sample_ggbm", _forbidden)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(cfg, master_seed=3)))
+        assert main([command, "--config", str(path), "--threads", threads]) == EXIT_USAGE
+        assert "config field 'n_paths'" in capsys.readouterr().err
 
     def test_report_rejects_nan(self):
         with pytest.raises(NumericalError):
@@ -1098,7 +1111,7 @@ class TestValidateChecksSettingsFirst:
             ("moment_t", 2.0, ParameterError, "t must lie"),
             ("moment_t", 0.3, InputError, "dyadic"),
             ("lags", [256], InputError, "capped"),
-            ("lags", [0], InputError, "positive"),
+            ("lags", [0], InputError, r"lags\[0\] must be an integer >= 1, got 0"),
             ("s", 0.3, InputError, "dyadic"),
             ("thetas", [float("nan")], ParameterError, "thetas"),
             ("thetas", [1e300], ParameterError, "thetas"),
@@ -1132,8 +1145,8 @@ class TestValidateChecksSettingsFirst:
     @pytest.mark.parametrize(
         ("key", "value", "message"),
         [
-            ("n_paths", 9_999, "characteristic-function checks need >= 1e4 paths"),
-            ("n_paths", 1, "characteristic-function checks need >= 1e4 paths"),
+            ("n_paths", 9_999, "n_paths must be an integer >= 10000, got 9999"),
+            ("n_paths", 1, "n_paths must be an integer >= 10000, got 1"),
             ("param_sets", [[1.0, 1.0], [3.0, 0.5]], "alpha"),
         ],
         ids=["n_paths-9999", "n_paths-1", "param_sets-alpha-3"],

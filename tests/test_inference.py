@@ -145,10 +145,10 @@ class TestEstimateAlpha:
             (5, "level_range must be a sequence"),
             (None, "level_range must be a sequence"),
             ((1, 2, 3), "level_range must be a pair"),
-            (("a", 9), "level 'a' is not an integer"),
-            ((5, "9"), "level '9' is not an integer"),
-            ((5, 9.5), "level 9.5 is not an integer"),
-            ((5, True), "level True is not an integer"),
+            (("a", 9), "level must be an integer, got 'a'"),
+            ((5, "9"), "level must be an integer, got '9'"),
+            ((5, 9.5), "level must be an integer, got 9.5"),
+            ((5, True), "level must be an integer, got True"),
         ],
         ids=repr,
     )
